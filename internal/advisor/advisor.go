@@ -71,14 +71,6 @@ type Options struct {
 	// results are merged and weighted sums reduced in input order (see
 	// DESIGN.md, "Concurrency model").
 	Parallelism int
-	// Shards, when > 1, partitions workload costing by the stable template
-	// hash (shard.Partition) and fans the shards out across the
-	// Parallelism workers, folding per-shard sums in fixed shard order.
-	// Deterministic at any parallelism, but a different floating-point
-	// association than the single-partition reduction — recommendations
-	// may differ in the last ulps from the 0/1 path, which stays
-	// bit-exact with previous releases.
-	Shards int
 	// Telemetry receives the advisor's metrics and phase spans (candidate
 	// selection, merging, per-round enumeration — see DESIGN.md §8). nil,
 	// the default, disables instrumentation; recommendations are identical
@@ -276,7 +268,7 @@ func (a *Advisor) costDetachedOnCancel(ctx context.Context, res *Result, w *work
 		res.Partial = true
 		ctx = context.Background() //lint:allow ctx deliberate detach: recost the partial result after cancellation (DESIGN.md §9)
 	}
-	c, err := a.workloadCostCtx(ctx, w, cfg)
+	c, err := a.o.WorkloadCostCtx(ctx, w, cfg, a.opts.Parallelism)
 	if err == nil {
 		return c, nil
 	}
@@ -285,7 +277,7 @@ func (a *Advisor) costDetachedOnCancel(ctx context.Context, res *Result, w *work
 	}
 	res.Partial = true
 	//lint:allow ctx deliberate detach: recost the partial result after cancellation (DESIGN.md §9)
-	return a.workloadCostCtx(context.Background(), w, cfg)
+	return a.o.WorkloadCostCtx(context.Background(), w, cfg, a.opts.Parallelism)
 }
 
 // isCancel reports whether err stems from context cancellation or deadline
@@ -915,7 +907,7 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 			a.opts.Progress(telemetry.ProgressEvent{
 				Phase: "advisor/enumerate", Round: res.Rounds,
 				Done: cfg.Len(), Total: a.opts.MaxIndexes,
-				Benefit: gainSum, Shards: a.opts.Shards,
+				Benefit: gainSum,
 			})
 		}
 		if reg != nil {

@@ -113,7 +113,8 @@ func TestConsedStatesPoolUtilities(t *testing.T) {
 // duplicate-heavy workload: indices are representative workload positions
 // (one per distinct selected template), weights normalise, and — since
 // duplicates add no new templates — the selected template set matches the
-// plain pipeline run on one instance of each template.
+// plain pipeline run on one instance of each template. The consed path
+// must also be bit-identical at every worker count.
 func TestConsedCompressOnDuplicates(t *testing.T) {
 	gen := benchmarks.TPCH(10)
 	const instances = 8
@@ -126,7 +127,20 @@ func TestConsedCompressOnDuplicates(t *testing.T) {
 	const k = 8
 	opts := DefaultOptions()
 	opts.ConsTemplates = true
+	opts.Parallelism = 1
 	res := New(opts).Compress(w, k)
+	opts.Parallelism = 4
+	par := New(opts).Compress(w, k)
+	if !reflect.DeepEqual(par.Indices, res.Indices) {
+		t.Fatalf("parallelism=4: selection diverged:\n got %v\nwant %v", par.Indices, res.Indices)
+	}
+	for i := range res.Indices {
+		if math.Float64bits(par.Weights[i]) != math.Float64bits(res.Weights[i]) ||
+			math.Float64bits(par.SelectionBenefits[i]) != math.Float64bits(res.SelectionBenefits[i]) {
+			t.Fatalf("parallelism=4: selection %d: got (%v, %v), want (%v, %v)",
+				i, par.Weights[i], par.SelectionBenefits[i], res.Weights[i], res.SelectionBenefits[i])
+		}
+	}
 	if res.Partial {
 		t.Fatal("background consed compress must not be partial")
 	}
@@ -170,30 +184,5 @@ func TestConsedCompressOnDuplicates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(consTmpl, baseTmpl) {
 		t.Fatalf("consed selection on duplicated workload diverged from plain selection on deduplicated one:\n got %v\nwant %v", consTmpl, baseTmpl)
-	}
-}
-
-// TestConsedSharded pins that consing composes with sharding: the
-// combined path still selects representative positions deterministically
-// and matches the consed-unsharded selection.
-func TestConsedSharded(t *testing.T) {
-	w := generatorWorkload(t, "tpcds", 60)
-	const k = 12
-	copts := DefaultOptions()
-	copts.ConsTemplates = true
-	base := New(copts).Compress(w, k)
-	for _, shards := range []int{2, 4} {
-		opts := copts
-		opts.Shards = shards
-		opts.Parallelism = 4
-		got := New(opts).Compress(w, k)
-		if !reflect.DeepEqual(got.Indices, base.Indices) {
-			t.Fatalf("shards=%d: selection diverged:\n got %v\nwant %v", shards, got.Indices, base.Indices)
-		}
-		for i := range got.Weights {
-			if math.Float64bits(got.Weights[i]) != math.Float64bits(base.Weights[i]) {
-				t.Fatalf("shards=%d: weight %d: got %v, want %v", shards, i, got.Weights[i], base.Weights[i])
-			}
-		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"isum/internal/catalog"
@@ -98,4 +99,41 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeRejectsOversizedCounts pins that a count field larger than
+// the bytes left to hold its elements is rejected before any slice is
+// sized from it: a corrupt count must not reserve gigabytes.
+func TestDecodeRejectsOversizedCounts(t *testing.T) {
+	const huge = 1 << 22
+	zero := binary.AppendUvarint(nil, 0)
+	cases := map[string]struct {
+		payload []byte
+		decode  func([]byte) error
+	}{
+		"snapshot keys": {
+			payload: binary.AppendUvarint(append(append([]byte{}, zero...), zero...), huge),
+			decode:  func(p []byte) error { _, err := decodeSnapshot(p); return err },
+		},
+		"snapshot pool": {
+			payload: binary.AppendUvarint(append(append(append([]byte{}, zero...), zero...), zero...), huge),
+			decode:  func(p []byte) error { _, err := decodeSnapshot(p); return err },
+		},
+		"wal batch": {
+			payload: binary.AppendUvarint(append([]byte{}, zero...), huge),
+			decode:  func(p []byte) error { _, _, err := decodeBatch(p); return err },
+		},
+	}
+	for name, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode(tc.payload)
+		runtime.ReadMemStats(&after)
+		if err != errCorrupt {
+			t.Errorf("%s: err = %v, want errCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding a %d-byte payload allocated %d bytes", name, len(tc.payload), grew)
+		}
+	}
 }

@@ -91,8 +91,11 @@ func decodeSnapshot(payload []byte) (*snapState, error) {
 	st := &snapState{}
 	st.lsn = c.uvarint()
 	st.seen = c.uvarint()
+	// Every element occupies at least one payload byte, so a count above
+	// the payload length is corrupt; checking it first keeps a fuzzed count
+	// from reserving gigabytes.
 	nkeys := c.uvarint()
-	if c.bad || nkeys > maxRecordBytes {
+	if c.bad || nkeys > uint64(len(payload)) {
 		return nil, errCorrupt
 	}
 	st.keys = make([]string, 0, nkeys)
@@ -104,7 +107,7 @@ func decodeSnapshot(payload []byte) (*snapState, error) {
 		st.keys = append(st.keys, k)
 	}
 	npool := c.uvarint()
-	if c.bad || npool > maxRecordBytes {
+	if c.bad || npool > uint64(len(payload)) {
 		return nil, errCorrupt
 	}
 	st.pool = make([]queryRec, 0, npool)

@@ -175,7 +175,7 @@ func decodeBatch(payload []byte) (lsn uint64, queries []queryRec, err error) {
 	c := &byteCursor{b: payload}
 	lsn = c.uvarint()
 	n := c.uvarint()
-	if c.bad || n > maxRecordBytes {
+	if c.bad || n > uint64(len(payload)) {
 		return 0, nil, errCorrupt
 	}
 	queries = make([]queryRec, 0, n)

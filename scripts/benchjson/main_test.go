@@ -14,8 +14,8 @@ BenchmarkCompress/parallelism=1-8   	      10	 100000000 ns/op
 BenchmarkCompress/parallelism=max-8 	      40	  25000000 ns/op
 BenchmarkTune/parallelism=1-8       	       5	 200000000 ns/op
 BenchmarkTune/parallelism=max-8     	      10	 100000000 ns/op
-BenchmarkCompressSharded/workers=1-8	       3	 600000000 ns/op
-BenchmarkCompressSharded/workers=4-8	       9	 200000000 ns/op
+BenchmarkCompressConsedSmall/cons=off-8	       3	 600000000 ns/op
+BenchmarkCompressConsedSmall/cons=on-8 	       9	 200000000 ns/op
 BenchmarkCompressConsed/cons=off-8  	       1	8000000000 ns/op
 BenchmarkCompressConsed/cons=on-8   	      20	 100000000 ns/op
 BenchmarkTuneElided/elide=off-8     	       2	2000000000 ns/op	         0 elided/op	     80000 whatif-calls/op
@@ -47,8 +47,8 @@ func TestRun(t *testing.T) {
 	if got := rep.Speedups["BenchmarkTune"]; got != 2 {
 		t.Errorf("BenchmarkTune speedup = %v, want 2", got)
 	}
-	if got := rep.Speedups["BenchmarkCompressSharded"]; got != 3 {
-		t.Errorf("BenchmarkCompressSharded speedup = %v, want 3", got)
+	if got := rep.Speedups["BenchmarkCompressConsedSmall"]; got != 3 {
+		t.Errorf("BenchmarkCompressConsedSmall speedup = %v, want 3", got)
 	}
 	if got := rep.Speedups["BenchmarkCompressConsed"]; got != 80 {
 		t.Errorf("BenchmarkCompressConsed speedup = %v, want 80", got)
