@@ -78,21 +78,6 @@ type Options struct {
 	// optimizer with NewOptimizerWithTelemetry on a shared one) to see
 	// what-if call deltas attributed to each tuning phase.
 	Telemetry *telemetry.Registry
-	// Elide enables what-if call elision (DESIGN.md §16): candidate
-	// selection and enumeration consult the optimizer's memoized atomic
-	// costs and derived lower/upper cost bounds to skip what-if calls
-	// whose outcome is already decided — memo-exact substitutions, queries
-	// whose lower bound meets their current cost, and whole candidates
-	// whose optimistic gain bound cannot beat an earlier candidate's
-	// pessimistic gain. Elision is bitwise-invisible: the chosen
-	// configuration, Initial/FinalCost, ConfigsExplored, and report output
-	// are identical with it on or off (pinned by
-	// TestElisionDoesNotChangeOutput); only OptimizerCalls shrinks.
-	// DefaultOptions/DexterOptions enable it; the zero value is the
-	// reference path. Requires the optimizer's elision layer
-	// (cost.Optimizer.SetElision, on by default) — disabled there, this
-	// flag is a no-op.
-	Elide bool
 	// Progress, when non-nil, receives streaming progress events while
 	// tuning runs (DESIGN.md §13): per candidate-selection stride
 	// ("advisor/candidates", emitted from worker goroutines — the
@@ -113,7 +98,6 @@ func DefaultOptions() Options {
 		EnableIncludes:     true,
 		EnableMerging:      true,
 		CandidatesPerQuery: 8,
-		Elide:              true,
 	}
 }
 
@@ -127,7 +111,6 @@ func DexterOptions() Options {
 		EnableMerging:      false,
 		MinImprovement:     0.05,
 		CandidatesPerQuery: 4,
-		Elide:              true,
 	}
 }
 
@@ -314,19 +297,18 @@ type queryCandidates struct {
 // Partial. A real what-if failure (retries exhausted) or a contained
 // panic aborts selection with the error.
 //
-// With Options.Elide on, the per-query base cost is served from the
-// optimizer's atomic memo (populated by the initial workload costing),
-// and a candidate is dropped without costing when the query's structural
-// floor on the candidate's table proves even a perfect index fails the
-// improvement threshold: the true gain is at most base − floor, so a
-// pruned candidate is exactly one the reference path would drop after
-// costing. Pruned candidates still count as probed/explored.
+// With the optimizer's elision layer on (DESIGN.md §16), a candidate is
+// dropped without costing when the query's structural floor on the
+// candidate's table proves even a perfect index fails the improvement
+// threshold: the true gain is at most base − floor, so a pruned candidate
+// is exactly one the reference path would drop after costing. Pruned
+// candidates still count as probed/explored.
 func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, res *Result) ([]scored, error) {
 	// probed is bumped from worker closures — counters are atomics, so
 	// this is the one advisor metric safely updated off the span path.
 	probed := a.opts.Telemetry.Counter("advisor/candidates/probed")
 	progress := a.opts.Progress
-	elide := a.opts.Elide && a.o.ElisionEnabled()
+	elide := a.o.ElisionEnabled()
 	var processed atomic.Int64 // progress counter; workers emit, so Progress must be concurrency-safe
 	perQuery, mapErr := parallel.Map(ctx, parallel.Workers(a.opts.Parallelism), len(w.Queries),
 		func(i int) *queryCandidates {
@@ -339,23 +321,12 @@ func (a *Advisor) selectCandidates(ctx context.Context, w *workload.Workload, re
 				}()
 			}
 			q := w.Queries[i]
-			var base float64
-			baseKnown := false
-			if elide {
-				if b, ok := a.o.QueryBounds(q).BaseCost(); ok {
-					base, baseKnown = b, true
-					a.o.CountElidedCalls(1)
+			base, err := a.o.CostContext(ctx, q, nil)
+			if err != nil {
+				if isCancel(err) {
+					return nil // anytime mode: keep what we have
 				}
-			}
-			if !baseKnown {
-				var err error
-				base, err = a.o.CostContext(ctx, q, nil)
-				if err != nil {
-					if isCancel(err) {
-						return nil // anytime mode: keep what we have
-					}
-					return &queryCandidates{err: err}
-				}
+				return &queryCandidates{err: err}
 			}
 			if base <= 0 {
 				return nil
@@ -540,19 +511,16 @@ func mergeIndexes(A, B index.Index, maxKeys, maxIncludes int) *index.Index {
 // candidate's table — indexes cannot change other queries' plans — which is
 // the same table-pruning commercial advisors use to bound what-if calls.
 //
-// With Options.Elide on, three further elisions apply (DESIGN.md §16),
-// none of which can change the chosen index, the per-round cost updates,
-// or ConfigsExplored:
+// With the optimizer's elision layer on, two further elisions apply
+// (DESIGN.md §16), neither of which can change the chosen index, the
+// per-round cost updates, or ConfigsExplored:
 //
-//   - memo-exact: when the current configuration has no index on a
-//     query's tables, the trial configuration's relevant set is exactly
-//     the candidate, and the memoized atomic cost is bitwise the value a
-//     real call would return;
-//   - lower-bound skip: a query whose union lower bound already meets its
-//     current cost cannot contribute gain, so its call is skipped;
+//   - structural irrelevance: a query whose plan can never consult the
+//     candidate (cost.IndexRelevant) keeps its cost bitwise, so its probe
+//     is skipped;
 //   - candidate pruning: a serial pre-pass in candidate order compares
 //     each candidate's optimistic gain cap (Σ current − lower over its
-//     table's queries) against the best pessimistic gain (via upper
+//     relevant queries) against the best pessimistic gain (via upper
 //     bounds) of an earlier unpruned candidate. cap ≤ that floor proves
 //     the earlier candidate's true gain is at least this one's, and the
 //     argmax breaks ties toward the earlier position, so the pruned
@@ -563,7 +531,7 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 	var used int64
 	remaining := append([]scored{}, cands...)
 	workers := parallel.Workers(a.opts.Parallelism)
-	elide := a.opts.Elide && a.o.ElisionEnabled()
+	elide := a.o.ElisionEnabled()
 
 	// Per-query weights, shared by the probe loop and the elision bounds.
 	wts := make([]float64, len(w.Queries))
@@ -580,16 +548,8 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		err error
 	}
 	baseCosts, mapErr := parallel.Map(ctx, workers, len(w.Queries), func(i int) qcost {
-		q := w.Queries[i]
-		wt := wts[i]
-		if elide {
-			if b, ok := a.o.QueryBounds(q).BaseCost(); ok {
-				a.o.CountElidedCalls(1)
-				return qcost{wt * b, nil}
-			}
-		}
-		c, err := a.o.CostContext(ctx, q, cfg)
-		return qcost{wt * c, err}
+		c, err := a.o.CostContext(ctx, w.Queries[i], cfg)
+		return qcost{wts[i] * c, err}
 	})
 	if mapErr != nil {
 		if isCancel(mapErr) {
@@ -627,26 +587,7 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		bounds  []*cost.QueryBounds
 		lbW     []float64 // weighted lower bound per query; −Inf when unknown
 		candIDs []int32   // interned identity per remaining candidate
-		cfgRel  []int     // per query: # configuration indexes on its tables
-	)
-	// Cross-round probe memo. A probe's cost depends only on the trial
-	// configuration's indexes on the query's tables (the planner consults
-	// ForTable per block — the same relevance invariant that lets the
-	// probe loop re-cost only queriesByTable[cand.Table]), so the value
-	// for (candidate, query) holds verbatim across rounds until a chosen
-	// index lands on one of the query's tables. qVer tracks that: bumped
-	// per query when its relevant set changes, it invalidates stale
-	// entries without a sweep. Each candidate's map is touched only by
-	// its own probe goroutine within a round, and rounds are separated by
-	// the parallel.Map join, so the memo needs no locking.
-	type probeMemo struct {
-		ver int
-		c   float64 // weighted trial cost, exactly as the real call computed it
-	}
-	var (
-		candMemo []map[int]probeMemo // per remaining candidate: query → memoized probe
-		qVer     []int               // per query: relevant-set version
-		relQs    [][]int             // per remaining candidate: structurally relevant queries
+		relQs   [][]int   // per remaining candidate: structurally relevant queries
 	)
 	if elide {
 		union := index.NewConfiguration()
@@ -674,7 +615,6 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		}
 		bounds = make([]*cost.QueryBounds, len(w.Queries))
 		lbW = make([]float64, len(w.Queries))
-		cfgRel = make([]int, len(w.Queries))
 		for i, q := range w.Queries {
 			bounds[i] = a.o.QueryBounds(q)
 			if lb, ok := bounds[i].Lower(); ok {
@@ -687,8 +627,6 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		for i := range remaining {
 			candIDs[i] = a.o.InternIndexID(remaining[i].ix.ID())
 		}
-		candMemo = make([]map[int]probeMemo, len(remaining))
-		qVer = make([]int, len(w.Queries))
 		// Structural relevance: a candidate whose index the planner can
 		// never consult for a query (cost.IndexRelevant) leaves that
 		// query's cost bitwise unchanged, so the probe loop walks only the
@@ -802,49 +740,11 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 				qis = relQs[i]
 			}
 			for _, qi := range qis {
-				q := w.Queries[qi]
-				wt := wts[qi]
-				if elide {
-					if lbW[qi] >= curCost[qi] {
-						// The optimistic bound already meets the current
-						// cost: this query cannot contribute gain.
-						a.o.CountElidedCalls(1)
-						continue
-					}
-					if cfgRel[qi] == 0 {
-						if c0, ok := bounds[qi].AtomicCost(candIDs[i]); ok {
-							a.o.CountElidedCalls(1)
-							c0 *= wt
-							if c0 < curCost[qi] {
-								p.gain += curCost[qi] - c0
-								p.newCosts[qi] = c0
-							}
-							continue
-						}
-					}
-					if e, ok := candMemo[i][qi]; ok && e.ver == qVer[qi] {
-						// Repeat probe: the query's relevant index set is
-						// unchanged since this pair was last costed, so the
-						// memoized value is the call's value verbatim.
-						a.o.CountElidedCalls(1)
-						if e.c < curCost[qi] {
-							p.gain += curCost[qi] - e.c
-							p.newCosts[qi] = e.c
-						}
-						continue
-					}
-				}
-				c, err := a.o.CostContext(ctx, q, trial)
+				c, err := a.o.CostContext(ctx, w.Queries[qi], trial)
 				if err != nil {
 					return probe{err: err}
 				}
-				c *= wt
-				if elide {
-					if candMemo[i] == nil {
-						candMemo[i] = make(map[int]probeMemo)
-					}
-					candMemo[i][qi] = probeMemo{ver: qVer[qi], c: c}
-				}
+				c *= wts[qi]
 				if c < curCost[qi] {
 					p.gain += curCost[qi] - c
 					p.newCosts[qi] = c
@@ -894,12 +794,7 @@ func (a *Advisor) enumerate(ctx context.Context, w *workload.Workload, cands []s
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 		if elide {
 			candIDs = append(candIDs[:bestIdx], candIDs[bestIdx+1:]...)
-			candMemo = append(candMemo[:bestIdx], candMemo[bestIdx+1:]...)
 			relQs = append(relQs[:bestIdx], relQs[bestIdx+1:]...)
-			for _, qi := range queriesByTable[lower(chosen.ix.Table)] {
-				cfgRel[qi]++
-				qVer[qi]++
-			}
 		}
 		res.Rounds++
 		if a.opts.Progress != nil {

@@ -47,7 +47,6 @@ func runTune(t *testing.T, w *workload.Workload, cat *catalog.Catalog, opts Opti
 	t.Helper()
 	o := cost.NewOptimizer(cat)
 	o.SetElision(elide)
-	opts.Elide = elide
 	res, err := New(o, opts).TuneContext(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +128,8 @@ func TestElisionDoesNotChangeOutput(t *testing.T) {
 
 // TestElisionChaosByteIdentity pins the anytime/chaos contract on the
 // elided path: a parallel elided tune under deterministic fault injection
-// (absorbed by retries, with singleflight coalescing concurrent identical
-// plans) recommends the identical configuration with bit-identical costs
+// (absorbed by retries, with concurrent identical misses each planning
+// independently) recommends the identical configuration with bit-identical costs
 // and report as the fault-free elided run.
 func TestElisionChaosByteIdentity(t *testing.T) {
 	w, cat := elideOracleWorkload(t, "tpch", 40)

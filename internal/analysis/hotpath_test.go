@@ -63,10 +63,7 @@ func TestHotpathCoversZeroAllocKernels(t *testing.T) {
 
 	// The elision bound lookups of cost.TestKernelZeroAlloc — consulted
 	// per (candidate, query) in the advisor's greedy inner loop.
-	wantCost := []string{
-		"QueryBounds.BaseCost", "QueryBounds.AtomicCost",
-		"QueryBounds.Lower", "QueryBounds.UpperWith",
-	}
+	wantCost := []string{"QueryBounds.Lower", "QueryBounds.UpperWith"}
 	costPkg := marked["isum/internal/cost"]
 	if costPkg == nil {
 		t.Fatal("internal/cost not loaded")

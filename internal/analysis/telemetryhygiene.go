@@ -27,7 +27,7 @@ var TelemetryAnalyzer = &Analyzer{
 
 // MetricNamePattern is the shared naming convention: 2–4 slash-separated
 // lowercase segments, e.g. "cost/whatif/calls", "core/greedy/argmax_nanos",
-// "cost/cache/shard00/hits". scripts/metricscheck applies the same
+// "cost/elide/bound_prunes". scripts/metricscheck applies the same
 // pattern to exported names at runtime.
 const MetricNamePattern = `^[a-z][a-z0-9_-]*(/[a-z0-9_-]+){1,3}$`
 

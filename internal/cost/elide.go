@@ -1,8 +1,8 @@
-// What-if call elision (DESIGN.md §16). The optimizer memoizes per-query
-// atomic costs — the empty configuration and each single-index
-// configuration, keyed by interned index identity — and derives from the
-// planner's access+join/tail decomposition (block.go) sound lower and
-// upper bounds on the cost of any configuration:
+// What-if call elision (DESIGN.md §16). The optimizer records per-query
+// atomic access+join subtotals — the empty configuration and each
+// single-index configuration, keyed by interned index identity — and
+// derives from the planner's access+join/tail decomposition (block.go)
+// sound lower and upper bounds on the cost of any configuration:
 //
 //   - lower: the access+join subtotal is monotone non-increasing in the
 //     configuration, so one what-if call against the union U of all
@@ -15,8 +15,9 @@
 // is already decided (see internal/advisor), and FuzzCostBounds pins
 // lower ≤ true cost ≤ upper. Bounds carry a relative slack of boundSlack
 // so float re-association across the decomposition can never flip a
-// comparison; memoized atomic costs are exact (the very float64 a real
-// call returns), which is what makes elision bitwise-invisible.
+// comparison, which is what makes elision bitwise-invisible. Exact costs
+// are never memoized here: repeat what-if calls are served by the plan
+// cache (optimizer.go).
 package cost
 
 import (
@@ -40,17 +41,17 @@ func slackDown(x float64) float64 { return x - math.Abs(x)*boundSlack }
 // slackUp widens an upper bound upward past float noise.
 func slackUp(x float64) float64 { return x + math.Abs(x)*boundSlack }
 
-// QueryBounds is the per-query-text elision memo: exact atomic costs
-// (empty and single-index configurations), configuration-independent
-// tail bounds, the union-derived lower bound, and cached structural
-// floors. Handles are obtained once per query via Optimizer.QueryBounds
-// and then read lock-cheap and allocation-free from the advisor's greedy
-// inner loop. Safe for concurrent use.
+// QueryBounds is the per-query-text elision memo: atomic access+join
+// subtotals (empty and single-index configurations), configuration-
+// independent tail bounds, the union-derived lower bound, and cached
+// structural floors. Handles are obtained once per query via
+// Optimizer.QueryBounds and then read lock-cheap and allocation-free from
+// the advisor's greedy inner loop. Safe for concurrent use.
 type QueryBounds struct {
 	mu      sync.Mutex
-	base    cacheVal // exact cost/AJ under the empty configuration
+	baseAJ  float64 // access+join subtotal under the empty configuration
 	baseOK  bool
-	atomics map[int32]cacheVal // exact cost/AJ per interned single index
+	atomics map[int32]float64 // access+join subtotal per interned single index
 
 	minTail, maxTail float64 // Σ per-block tail bounds (blockTailBounds)
 	tailsOK          bool
@@ -76,28 +77,6 @@ func (b *QueryBounds) ensureTails(o *Optimizer, q *workload.Query) {
 	b.tailsOK = true
 }
 
-// BaseCost returns the memoized exact cost under the empty configuration.
-//
-//lint:hotpath elision bound lookup in the greedy inner loop
-func (b *QueryBounds) BaseCost() (float64, bool) {
-	b.mu.Lock()
-	v, ok := b.base.c, b.baseOK
-	b.mu.Unlock()
-	return v, ok
-}
-
-// AtomicCost returns the memoized exact cost under the single-index
-// configuration identified by the interned id — bitwise the value a real
-// what-if call returns, so substituting it is invisible.
-//
-//lint:hotpath elision bound lookup in the greedy inner loop
-func (b *QueryBounds) AtomicCost(id int32) (float64, bool) {
-	b.mu.Lock()
-	v, ok := b.atomics[id]
-	b.mu.Unlock()
-	return v.c, ok
-}
-
 // Lower returns the lower bound on this query's cost under any
 // configuration that is a subset of the union primed by PrimeUnionBound.
 //
@@ -121,9 +100,9 @@ func (b *QueryBounds) UpperWith(id int32) (float64, bool) {
 		b.mu.Unlock()
 		return 0, false
 	}
-	aj := b.base.aj
-	if v, ok := b.atomics[id]; ok && v.aj < aj {
-		aj = v.aj
+	aj := b.baseAJ
+	if v, ok := b.atomics[id]; ok && v < aj {
+		aj = v
 	}
 	u := aj + b.maxTail
 	b.mu.Unlock()
@@ -141,7 +120,7 @@ func (o *Optimizer) boundsFor(text string) *QueryBounds {
 	o.elideMu.Lock()
 	b, ok := o.elideBounds[text]
 	if !ok {
-		b = &QueryBounds{atomics: make(map[int32]cacheVal), floors: make(map[string]float64)}
+		b = &QueryBounds{atomics: make(map[int32]float64), floors: make(map[string]float64)}
 		o.elideBounds[text] = b
 	}
 	o.elideMu.Unlock()
@@ -162,11 +141,11 @@ func (o *Optimizer) InternIndexID(id string) int32 {
 	return n
 }
 
-// recordParts feeds the atomic-cost memo from cache-miss plan
-// computations: the empty configuration and configurations with exactly
-// one index relevant to the query (the fingerprint is then that index's
-// identity). Multi-index fingerprints contain a separator and are not
-// atomic.
+// recordParts feeds UpperWith from cache-miss plan computations: the
+// access+join subtotal of the empty configuration and of configurations
+// with exactly one index relevant to the query (the fingerprint is then
+// that index's identity). Multi-index fingerprints contain a separator and
+// are not atomic.
 func (o *Optimizer) recordParts(q *workload.Query, key string, v cacheVal) {
 	if key != "" && strings.Contains(key, ";") {
 		return
@@ -178,9 +157,9 @@ func (o *Optimizer) recordParts(q *workload.Query, key string, v cacheVal) {
 	b := o.boundsFor(q.Text)
 	b.mu.Lock()
 	if id < 0 {
-		b.base, b.baseOK = v, true
+		b.baseAJ, b.baseOK = v.aj, true
 	} else {
-		b.atomics[id] = v
+		b.atomics[id] = v.aj
 	}
 	b.mu.Unlock()
 }
@@ -302,28 +281,30 @@ func IndexRelevant(q *workload.Query, ix index.Index) bool {
 	return false
 }
 
-// SetElision enables or disables the elision layer: the atomic-cost memo,
-// the in-flight deduplication (singleflight) of identical plan
-// computations, and the bound APIs the advisor consults. Elision is on by
-// default and bitwise-invisible — it changes how many what-if calls are
-// issued, never any cost value or recommendation. Call during setup,
-// before the optimizer is used concurrently.
+// SetElision enables or disables the elision layer: the atomic
+// access+join recording behind the bounds, and the bound-based and
+// structural elisions the advisor applies (the advisor reads
+// ElisionEnabled). Elision is on by default and bitwise-invisible — it
+// changes how many what-if calls are issued, never any cost value or
+// recommendation. Call during setup, before the optimizer is used
+// concurrently.
 func (o *Optimizer) SetElision(on bool) { o.elideOn = on }
 
 // ElisionEnabled reports whether the elision layer is active.
 func (o *Optimizer) ElisionEnabled() bool { return o.elideOn }
 
-// CountElidedCalls records n what-if calls answered from memoized values
-// or bounds instead of being issued (cost/elide/hits).
+// CountElidedCalls records n what-if calls decided by bounds or structural
+// irrelevance instead of being issued (cost/elide/hits).
 func (o *Optimizer) CountElidedCalls(n int64) { o.elideHits.Add(n) }
 
 // CountBoundPrune records one candidate pruned wholesale by a bound
 // comparison (cost/elide/bound_prunes).
 func (o *Optimizer) CountBoundPrune() { o.elidePrunes.Inc() }
 
-// ElideStats reports the elision counters: what-if calls elided,
-// candidates pruned by bounds, and plan computations that waited on an
-// identical in-flight computation instead of duplicating it.
-func (o *Optimizer) ElideStats() (hits, boundPrunes, singleflightWaits int64) {
-	return o.elideHits.Value(), o.elidePrunes.Value(), o.elideWaits.Value()
+// ElideStats reports the elision counters: what-if calls elided and
+// candidates pruned by bounds. The third result is always 0: it counted
+// in-flight plan deduplication, which the optimizer no longer does, and
+// stays only so existing callers keep compiling.
+func (o *Optimizer) ElideStats() (hits, boundPrunes, _ int64) {
+	return o.elideHits.Value(), o.elidePrunes.Value(), 0
 }

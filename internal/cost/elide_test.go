@@ -5,21 +5,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"isum/internal/catalog"
 	"isum/internal/index"
 	"isum/internal/workload"
 )
-
-// sleepInjector injects pure latency into every plan attempt, keeping the
-// leader in flight long enough for waiters to pile onto the flight.
-type sleepInjector struct{ d time.Duration }
-
-func (s sleepInjector) PlanFault(string, string, int) error {
-	time.Sleep(s.d)
-	return nil
-}
 
 // elideFixture is the shared workload/index pool for the bound tests and
 // FuzzCostBounds: a mix of scans, seeks, joins, aggregates, and sorts over
@@ -72,8 +62,8 @@ func loadElideFixture(t testing.TB) *elideFixture {
 			index.New("customer", "c_custkey"),
 			index.New("customer", "c_nationkey"),
 		}
-		// Prime the memo exactly as a tune does: base and single-index
-		// atomic costs for every query, then the union lower bound.
+		// Prime the bounds exactly as a tune does: base and single-index
+		// atomic subtotals for every query, then the union lower bound.
 		union := index.NewConfiguration(fix.pool...)
 		for _, q := range fix.qs {
 			fix.o.Cost(q, nil)
@@ -216,76 +206,6 @@ func TestIndexIrrelevanceExact(t *testing.T) {
 	}
 }
 
-// TestElisionMemoExact pins that the memoized atomic costs are bitwise the
-// values real what-if calls return — the property that makes memo-exact
-// substitution invisible.
-func TestElisionMemoExact(t *testing.T) {
-	fix := loadElideFixture(t)
-	for _, q := range fix.qs {
-		qb := fix.o.QueryBounds(q)
-		b, ok := qb.BaseCost()
-		if !ok {
-			t.Fatalf("query %q: base cost not memoized", q.Text)
-		}
-		if got := fix.o.Cost(q, nil); got != b {
-			t.Fatalf("query %q: memoized base %v != Cost %v", q.Text, b, got)
-		}
-		for _, ix := range fix.pool {
-			id := fix.o.InternIndexID(ix.ID())
-			a, ok := qb.AtomicCost(id)
-			if !ok {
-				continue // index not relevant to q: never recorded
-			}
-			if got := fix.o.Cost(q, index.NewConfiguration(ix)); got != a {
-				t.Fatalf("query %q index %s: memoized atomic %v != Cost %v", q.Text, ix.ID(), a, got)
-			}
-		}
-	}
-}
-
-// TestSingleflightCoalesces pins the in-flight deduplication: concurrent
-// identical costings under latency injection share one plan computation,
-// and waiters record cost/elide/singleflight_waits.
-func TestSingleflightCoalesces(t *testing.T) {
-	cat := testCatalog()
-	o := NewOptimizer(cat)
-	o.SetInjector(sleepInjector{d: 100 * time.Millisecond})
-	q, err := workload.NewQuery(cat, 0, "SELECT l_extendedprice FROM lineitem WHERE l_orderkey = 42")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers = 8
-	var wg sync.WaitGroup
-	costs := make([]float64, workers)
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			costs[i], errs[i] = o.CostContext(context.Background(), q, nil)
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if costs[i] != costs[0] {
-			t.Fatalf("worker %d cost %v != worker 0 cost %v", i, costs[i], costs[0])
-		}
-	}
-	if plans := o.Plans(); plans != 1 {
-		t.Fatalf("%d plan computations for %d identical concurrent calls, want 1", plans, workers)
-	}
-	if _, _, waits := o.ElideStats(); waits == 0 {
-		t.Fatal("no singleflight waits recorded — duplicates not coalesced")
-	}
-	if calls := o.Calls(); calls != workers {
-		t.Fatalf("Calls = %d, want %d (waiters still count as calls)", calls, workers)
-	}
-}
-
 // TestKernelZeroAlloc pins that the elision bound lookups — consulted per
 // (candidate, query) in the advisor's greedy inner loop — allocate
 // nothing. The static twin is the isumlint alloc analyzer over the
@@ -306,8 +226,6 @@ func TestKernelZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
 	}
-	check("QueryBounds.BaseCost", func() { _, _ = qb.BaseCost() })
-	check("QueryBounds.AtomicCost", func() { _, _ = qb.AtomicCost(id) })
 	check("QueryBounds.Lower", func() { _, _ = qb.Lower() })
 	check("QueryBounds.UpperWith", func() { _, _ = qb.UpperWith(id) })
 }

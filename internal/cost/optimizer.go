@@ -31,16 +31,6 @@ type cacheVal struct {
 	aj float64
 }
 
-// flight is one in-progress plan computation. Concurrent identical
-// (query, relevant-config) requests wait on done instead of duplicating
-// the computation (singleflight); val/err are published before done is
-// closed.
-type flight struct {
-	done chan struct{}
-	val  cacheVal
-	err  error
-}
-
 // cacheShard is one lock-striped slice of the what-if cache.
 type cacheShard struct {
 	mu sync.RWMutex
@@ -48,13 +38,6 @@ type cacheShard struct {
 	// fingerprint, so copies of a Query (e.g. weighted compressed-workload
 	// entries) share cost entries.
 	entries map[string]map[string]cacheVal
-	// flights holds in-progress plan computations keyed by
-	// text+"\x00"+fingerprint, used only when elision is enabled.
-	flights map[string]*flight
-	// hits/misses are this shard's cache counters, registered in the
-	// optimizer's telemetry registry as cost/cache/shardNN/{hits,misses}.
-	hits   *telemetry.Counter
-	misses *telemetry.Counter
 }
 
 // Injector is the fault-injection hook of the what-if interface
@@ -131,7 +114,9 @@ type Optimizer struct {
 
 	elideHits   *telemetry.Counter // cost/elide/hits: what-if calls elided
 	elidePrunes *telemetry.Counter // cost/elide/bound_prunes: candidates pruned by bounds
-	elideWaits  *telemetry.Counter // cost/elide/singleflight_waits: duplicate in-flight computations coalesced
+
+	cacheHits   *telemetry.Counter // cost/cache/hits: calls answered from the cache
+	cacheMisses *telemetry.Counter // cost/cache/misses: calls that computed a plan
 
 	shards [cacheShardCount]cacheShard
 }
@@ -148,7 +133,7 @@ func NewOptimizerWithParams(cat *catalog.Catalog, par Params) *Optimizer {
 }
 
 // NewOptimizerWithTelemetry registers the optimizer's metrics — what-if
-// call/plan counters, cumulative cost time, per-shard cache hits/misses,
+// call/plan counters, cumulative cost time, cache hits/misses,
 // and the faults/ retry/cancellation counters — in reg, so a pipeline-wide
 // registry attributes what-if work to phases.
 // A nil reg gives the optimizer a private registry: the counters behind
@@ -177,13 +162,11 @@ func NewOptimizerWithTelemetry(cat *catalog.Catalog, par Params, reg *telemetry.
 		cancelled:      reg.Counter("faults/cancelled"),
 		elideHits:      reg.Counter("cost/elide/hits"),
 		elidePrunes:    reg.Counter("cost/elide/bound_prunes"),
-		elideWaits:     reg.Counter("cost/elide/singleflight_waits"),
+		cacheHits:      reg.Counter("cost/cache/hits"),
+		cacheMisses:    reg.Counter("cost/cache/misses"),
 	}
 	for i := range o.shards {
 		o.shards[i].entries = make(map[string]map[string]cacheVal)
-		o.shards[i].flights = make(map[string]*flight)
-		o.shards[i].hits = reg.Counter(fmt.Sprintf("cost/cache/shard%02d/hits", i))
-		o.shards[i].misses = reg.Counter(fmt.Sprintf("cost/cache/shard%02d/misses", i))
 	}
 	return o
 }
@@ -252,10 +235,9 @@ func (o *Optimizer) CostContext(ctx context.Context, q *workload.Query, cfg *ind
 }
 
 // costParts is the full what-if pipeline behind CostContext: counters,
-// cache lookup, singleflight (elision on), plan computation with retry,
-// cache store, and atomic-cost recording for the elision memo. It returns
-// the cost together with the access+join subtotal the bound derivations
-// need.
+// cache lookup, plan computation with retry, cache store, and (elision on)
+// atomic access+join recording for the upper bounds. It returns the cost
+// together with the access+join subtotal the bound derivations need.
 func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index.Configuration) (cacheVal, error) {
 	start := time.Now() //lint:allow determinism what-if latency metric only; costs are computed from the plan, not the clock
 	defer func() {
@@ -269,17 +251,13 @@ func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index
 	if perQ, ok := sh.entries[q.Text]; ok {
 		if v, ok := perQ[key]; ok {
 			sh.mu.RUnlock()
-			sh.hits.Inc()
+			o.cacheHits.Inc()
 			return v, nil
 		}
 	}
 	sh.mu.RUnlock()
 
-	if o.elideOn {
-		return o.costPartsFlight(ctx, q, cfg, key, sh)
-	}
-
-	sh.misses.Inc()
+	o.cacheMisses.Inc()
 	v, err := o.planWithRetry(ctx, q, cfg, key)
 	if err != nil {
 		return cacheVal{}, err
@@ -293,89 +271,9 @@ func (o *Optimizer) costParts(ctx context.Context, q *workload.Query, cfg *index
 	}
 	perQ[key] = v
 	sh.mu.Unlock()
-	return v, nil
-}
-
-// costPartsFlight resolves a cache miss under singleflight: concurrent
-// identical (query text, fingerprint) misses elect one leader that
-// computes the plan while the others wait on the flight, so parallel
-// enumeration never computes the same probe twice. Cost values are pure
-// functions of (query, configuration), so coalescing is invisible; only
-// the plans/misses counters see fewer computations (already documented as
-// a concurrency artefact).
-func (o *Optimizer) costPartsFlight(ctx context.Context, q *workload.Query, cfg *index.Configuration, key string, sh *cacheShard) (cacheVal, error) {
-	fkey := q.Text + "\x00" + key
-	for {
-		sh.mu.Lock()
-		if perQ, ok := sh.entries[q.Text]; ok {
-			if v, ok := perQ[key]; ok {
-				sh.mu.Unlock()
-				sh.hits.Inc()
-				return v, nil
-			}
-		}
-		if f, ok := sh.flights[fkey]; ok {
-			sh.mu.Unlock()
-			o.elideWaits.Inc()
-			select {
-			case <-ctx.Done():
-				o.cancelled.Inc()
-				return cacheVal{}, ctx.Err()
-			case <-f.done:
-			}
-			if f.err != nil {
-				// The leader failed. Retry as (potentially) a new leader:
-				// with the deterministic injector our own attempt sequence
-				// fails or succeeds exactly as it would have unshared, so
-				// callers observe reference failure semantics.
-				continue
-			}
-			return f.val, nil
-		}
-		f := &flight{done: make(chan struct{})}
-		sh.flights[fkey] = f
-		sh.mu.Unlock()
-		sh.misses.Inc()
-		return o.runFlight(ctx, q, cfg, key, sh, fkey, f)
+	if o.elideOn {
+		o.recordParts(q, key, v)
 	}
-}
-
-// runFlight executes a leader plan computation and publishes the result —
-// to the cache, to any flight waiters, and (on success) to the elision
-// memo. A panic out of the computation (crash injection) still fails the
-// flight before propagating, so waiters never hang on a dead leader.
-func (o *Optimizer) runFlight(ctx context.Context, q *workload.Query, cfg *index.Configuration, key string, sh *cacheShard, fkey string, f *flight) (v cacheVal, err error) {
-	committed := false
-	defer func() {
-		if committed {
-			return
-		}
-		sh.mu.Lock()
-		delete(sh.flights, fkey)
-		sh.mu.Unlock()
-		f.err = fmt.Errorf("cost: what-if plan computation for query %d panicked", q.ID)
-		close(f.done)
-	}()
-	v, err = o.planWithRetry(ctx, q, cfg, key)
-	committed = true
-
-	sh.mu.Lock()
-	delete(sh.flights, fkey)
-	if err == nil {
-		perQ, ok := sh.entries[q.Text]
-		if !ok {
-			perQ = make(map[string]cacheVal)
-			sh.entries[q.Text] = perQ
-		}
-		perQ[key] = v
-	}
-	sh.mu.Unlock()
-	f.val, f.err = v, err
-	close(f.done)
-	if err != nil {
-		return cacheVal{}, err
-	}
-	o.recordParts(q, key, v)
 	return v, nil
 }
 
@@ -531,14 +429,10 @@ func (o *Optimizer) CostTime() time.Duration {
 	return time.Duration(o.costNanos.Value())
 }
 
-// CacheStats sums the per-shard cache counters: hits are calls answered
-// from the what-if cache, misses are plan computations.
+// CacheStats reports the cache counters: hits are calls answered from the
+// what-if cache, misses are calls that went on to compute a plan.
 func (o *Optimizer) CacheStats() (hits, misses int64) {
-	for i := range o.shards {
-		hits += o.shards[i].hits.Value()
-		misses += o.shards[i].misses.Value()
-	}
-	return
+	return o.cacheHits.Value(), o.cacheMisses.Value()
 }
 
 // FaultStats reports the failure-model counters: backoff retries taken,
@@ -548,10 +442,10 @@ func (o *Optimizer) FaultStats() (retries, exhausted, cancelled int64) {
 	return o.retryAttempts.Value(), o.retryExhausted.Value(), o.cancelled.Value()
 }
 
-// ResetCounters zeroes the call counters, timers, per-shard cache
-// counters, and faults counters (the cache itself is retained) — the
-// multi-run experiment hook, so harness invocations report per-run rather
-// than cumulative what-if statistics. When the optimizer shares a
+// ResetCounters zeroes the call counters, timers, cache counters, and
+// faults counters (the cache itself is retained) — the multi-run
+// experiment hook, so harness invocations report per-run rather than
+// cumulative what-if statistics. When the optimizer shares a
 // registry, only its own metrics are reset; use Registry.Reset to clear
 // everything.
 func (o *Optimizer) ResetCounters() {
@@ -561,13 +455,10 @@ func (o *Optimizer) ResetCounters() {
 	o.retryAttempts.Reset()
 	o.retryExhausted.Reset()
 	o.cancelled.Reset()
-	for i := range o.shards {
-		o.shards[i].hits.Reset()
-		o.shards[i].misses.Reset()
-	}
+	o.cacheHits.Reset()
+	o.cacheMisses.Reset()
 	o.elideHits.Reset()
 	o.elidePrunes.Reset()
-	o.elideWaits.Reset()
 }
 
 // computeCostParts plans every block of the query and sums their costs,

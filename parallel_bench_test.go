@@ -49,14 +49,13 @@ func BenchmarkTune(b *testing.B) {
 		opts := advisor.DefaultOptions()
 		opts.MaxIndexes = 10
 		opts.Parallelism = p
-		// Elision off: this pair isolates the parallel speedup; the
-		// elided-vs-not comparison lives in BenchmarkTuneElided.
-		opts.Elide = false
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Fresh optimizer per iteration: every run pays the same
 				// all-miss what-if costs, so the two variants compare
-				// compute, not cache hit rates.
+				// compute, not cache hit rates. Elision off: this pair
+				// isolates the parallel speedup; the elided-vs-not
+				// comparison lives in BenchmarkTuneElided.
 				oi := cost.NewOptimizer(o.Catalog())
 				oi.SetElision(false)
 				advisor.New(oi, opts).Tune(cw)
@@ -68,10 +67,11 @@ func BenchmarkTune(b *testing.B) {
 // BenchmarkTuneElided is the what-if elision trajectory pair tracked in
 // BENCH_whatif.json: the same tuning run with elision off and on. Both
 // variants recommend the identical configuration (pinned by
-// TestElisionDoesNotChangeOutput); the elided one answers part of the
-// probes from memoized atomic costs and bound pruning instead of fresh
-// optimizer calls. Each variant reports whatif-calls/op (real calls the
-// optimizer served per tune) and elided/op (probes answered without one).
+// TestElisionDoesNotChangeOutput); the elided one decides part of the
+// probes by bound pruning and structural irrelevance instead of optimizer
+// calls. Each variant reports plans/op (plan computations, the what-if
+// work itself), whatif-calls/op (calls the optimizer served per tune,
+// cache hits included) and elided/op (probes answered without a call).
 //
 // Run just this pair with:
 //
@@ -90,19 +90,20 @@ func BenchmarkTuneElided(b *testing.B) {
 		opts := advisor.DefaultOptions()
 		opts.MaxIndexes = 10
 		opts.Parallelism = 1
-		opts.Elide = v.elide
 		b.Run(v.name, func(b *testing.B) {
-			var calls, elided int64
+			var plans, calls, elided int64
 			for i := 0; i < b.N; i++ {
 				// Fresh optimizer per iteration: cold caches and a cold
 				// memo, so the variants compare one full tune each.
 				oi := cost.NewOptimizer(o.Catalog())
 				oi.SetElision(v.elide)
 				res := advisor.New(oi, opts).Tune(cw)
+				plans += oi.Plans()
 				calls += res.OptimizerCalls
 				hits, _, _ := oi.ElideStats()
 				elided += hits
 			}
+			b.ReportMetric(float64(plans)/float64(b.N), "plans/op")
 			b.ReportMetric(float64(calls)/float64(b.N), "whatif-calls/op")
 			b.ReportMetric(float64(elided)/float64(b.N), "elided/op")
 		})

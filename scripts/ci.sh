@@ -144,14 +144,9 @@ strip_elapsed() { sed -E 's/ in [0-9.]+(ns|us|µs|ms|s|m)+ / /'; }
 cmp "$fm_dir/tune_plain.txt" "$fm_dir/tune_chaos.txt"
 
 echo "== what-if elision smoke =="
-# Elision telemetry end to end (DESIGN.md §16): all three cost/elide/*
-# counters must report positive values from a real tune. A duplicate-heavy
-# workload — the same two statements repeated 60 times — tuned at
-# -parallelism 4 forces concurrent identical plan computations, and the
-# injected what-if latency keeps each computation in flight long enough
-# for its duplicates to pile onto the singleflight (without it a
-# single-core runner finishes each plan before the next duplicate
-# starts, and the waits counter legitimately reads zero).
+# Elision telemetry end to end (DESIGN.md §16): both cost/elide/*
+# counters must report positive values from a real tune of a
+# duplicate-heavy workload (the same two statements repeated 60 times).
 {
     echo '['
     for _ in $(seq 1 60); do
@@ -162,12 +157,10 @@ echo "== what-if elision smoke =="
     echo ']'
 } >"$fm_dir/dup.json"
 "$fm_dir/tune" -benchmark tpch -in "$fm_dir/dup.json" -max-indexes 2 \
-    -parallelism 4 -chaos 'seed=1,latency=1,delay=200us' \
     -metrics-out "$fm_dir/elide_metrics.json" >/dev/null
 go run ./scripts/metricscheck \
     -require cost/elide/hits \
     -require cost/elide/bound_prunes \
-    -require cost/elide/singleflight_waits \
     "$fm_dir/elide_metrics.json"
 
 echo "== durability smoke =="

@@ -30,7 +30,7 @@
 // every string literal passed as the name argument to a
 // Counter/Gauge/Histogram registration, and fails when a code-emitted
 // name is absent from the JSON export. Names built at runtime
-// (fmt.Sprintf sharded counters) are invisible to the literal scan and
+// (fmt.Sprintf-built names) are invisible to the literal scan and
 // are not checked.
 package main
 

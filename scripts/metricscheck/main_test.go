@@ -77,7 +77,7 @@ func register(r reg, i int) {
 	r.Counter("cost/whatif/calls")
 	r.Gauge("core/compress/k")
 	r.Histogram("core/greedy/argmax_nanos")
-	r.Counter(fmt.Sprintf("cost/cache/shard%02d/hits", i)) // runtime-built: not scanned
+	r.Counter(fmt.Sprintf("core/worker%02d/tasks", i)) // runtime-built: not scanned
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
