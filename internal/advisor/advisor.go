@@ -851,23 +851,19 @@ func (a *Advisor) dexterCandidates(q *workload.Query) []index.Index {
 // the unweighted improvement % on workload w when using cfg, along with the
 // before/after costs. Per-query what-if calls fan out across every core.
 func EvaluateImprovement(o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration) (pct, base, final float64) {
-	return EvaluateImprovementN(o, w, cfg, 0)
-}
-
-// EvaluateImprovementN is EvaluateImprovement with an explicit parallelism
-// (0 = GOMAXPROCS, 1 = serial). The before/after sums are reduced in input
-// order, so the result is bit-identical at any parallelism.
-func EvaluateImprovementN(o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration, parallelism int) (pct, base, final float64) {
-	pct, base, final, err := EvaluateImprovementContext(context.Background(), o, w, cfg, parallelism)
+	pct, base, final, err := EvaluateImprovementContext(context.Background(), o, w, cfg, 0)
 	if err != nil {
 		panic(err)
 	}
 	return pct, base, final
 }
 
-// EvaluateImprovementContext is EvaluateImprovementN with cancellation and
-// failure reporting: an interrupted or failed evaluation returns the error
-// (there is no meaningful partial improvement metric).
+// EvaluateImprovementContext is EvaluateImprovement with an explicit
+// parallelism (0 = GOMAXPROCS, 1 = serial), cancellation and failure
+// reporting: an interrupted or failed evaluation returns the error (there
+// is no meaningful partial improvement metric). The before/after sums are
+// reduced in input order, so the result is bit-identical at any
+// parallelism.
 func EvaluateImprovementContext(ctx context.Context, o *cost.Optimizer, w *workload.Workload, cfg *index.Configuration, parallelism int) (pct, base, final float64, err error) {
 	type pair struct {
 		base, final float64

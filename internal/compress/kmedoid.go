@@ -52,10 +52,17 @@ func (m *KMedoid) Compress(w *workload.Workload, k int) *core.Result {
 	medoids := rng.Perm(n)[:k]
 	assign := make([]int, n)
 	for iter := 0; iter < maxIter; iter++ {
-		// Assignment.
+		// Assignment. A medoid always belongs to its own cluster: a query
+		// with identical features sits at distance 0 from it too, and
+		// assigning the medoid there would let two clusters refit to one
+		// query, dropping a cluster.
 		for i := 0; i < n; i++ {
 			best, bestD := 0, math.Inf(1)
 			for ci, med := range medoids {
+				if med == i {
+					best = ci
+					break
+				}
 				if d := dist(i, med); d < bestD {
 					bestD, best = d, ci
 				}

@@ -60,8 +60,10 @@ func (c *Compressor) Name() string {
 	}
 }
 
-// Compress selects k queries from w (Problem 1) and weighs them. For k ≥
-// n every query is selected with weight 1/n.
+// Compress selects k queries from w (Problem 1) and weighs them with the
+// configured weighing strategy. k ≥ n selects every query that has
+// indexable features — a query whose feature vector is empty is never
+// selected — and the weights still come from that strategy, not 1/n.
 func (c *Compressor) Compress(w *workload.Workload, k int) *Result {
 	res, err := c.CompressContext(context.Background(), w, k)
 	if err != nil {
@@ -98,7 +100,11 @@ func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, 
 		root.SetAttr("k", k)
 	}
 
-	states, repIdx, err := c.buildUniverse(ctx, w)
+	var groups []workload.TemplateGroup
+	if c.opts.ConsTemplates {
+		groups = w.TemplateGroups()
+	}
+	states, repIdx, err := buildStates(ctx, w, c.opts, groups)
 	if err != nil {
 		if isCancel(err) {
 			res.Partial = true
@@ -126,28 +132,13 @@ func (c *Compressor) CompressContext(ctx context.Context, w *workload.Workload, 
 		Done:  len(res.Indices),
 		Total: len(res.Indices),
 	})
-	if repIdx != nil {
-		// Consed indices are template-state positions; translate back to
-		// workload positions (each template's representative instance).
-		for i, g := range res.Indices {
-			res.Indices[i] = repIdx[g]
-		}
+	// Indices are state positions; translate back to workload positions
+	// (each template's representative instance under consing).
+	for i, g := range res.Indices {
+		res.Indices[i] = repIdx[g]
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// buildUniverse builds the selection universe: one state per query, or —
-// with ConsTemplates — one state per distinct template plus the mapping
-// from template-state position back to the representative query's
-// workload position (nil when consing is off, i.e. states are already in
-// workload positions).
-func (c *Compressor) buildUniverse(ctx context.Context, w *workload.Workload) ([]*QueryState, []int, error) {
-	if c.opts.ConsTemplates {
-		return BuildConsedStatesContext(ctx, w, c.opts)
-	}
-	states, err := BuildStatesContext(ctx, w, c.opts)
-	return states, nil, err
 }
 
 // CompressedWorkload runs Compress and materialises the weighted compressed
@@ -186,7 +177,8 @@ func isCancel(err error) bool {
 // so the selection is identical to the serial path at any worker count.
 // The summary features are maintained incrementally (RemoveSelected +
 // per-query ApplyDelta, applied in index order) instead of rebuilt O(n)
-// every round; Options.RebuildSummary restores the literal rebuild.
+// every round; TestIncrementalSummaryMatchesRebuild pins the two against
+// each other.
 //
 // Cancellation is observed at round boundaries and inside the parallel
 // sweeps. A benefit scan cut short discards the round (no selection from
@@ -196,7 +188,6 @@ func isCancel(err error) bool {
 func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k int, res *Result) error {
 	workers := parallel.Workers(c.opts.Parallelism)
 	summary := c.opts.Algorithm != AllPairs
-	incremental := summary && !c.opts.RebuildSummary
 	var ss *SummaryState
 	if summary {
 		ss = BuildSummary(states)
@@ -230,9 +221,6 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 		}
 		rsp := reg.Start("core/greedy/round")
 		rounds.Inc()
-		if summary && c.opts.RebuildSummary {
-			ss = BuildSummary(states)
-		}
 		var tArgmax time.Time
 		if reg != nil {
 			tArgmax = time.Now() //lint:allow determinism argmax_nanos histogram only; benefits never read the clock
@@ -276,17 +264,17 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 
 		if best == nil {
 			// Every remaining query has zero-weight features: reset to the
-			// original features (Algorithm 2, line 12) and retry; if reset
-			// does nothing we are out of selectable queries.
+			// original features (Algorithm 2, line 12) and retry; if the
+			// reset revives no query we are out of selectable queries.
 			var didReset bool
 			didReset, live = resetIfAllZero(states, live)
-			if !didReset || allSelected(states) {
+			if !didReset {
 				rsp.SetAttr("outcome", "exhausted")
 				rsp.End()
 				return nil
 			}
 			resets.Inc()
-			if incremental {
+			if summary {
 				ss = BuildSummary(states)
 			}
 			res.Rounds++
@@ -318,7 +306,7 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 		if reg != nil {
 			tUpdate = time.Now() //lint:allow determinism update_nanos histogram only; summary updates never read the clock
 		}
-		if incremental {
+		if summary {
 			ss.RemoveSelected(best)
 		}
 		updates, err := parallel.Map(ctx, workers, len(states), func(i int) updateResult {
@@ -326,7 +314,7 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 			if s.Selected {
 				return updateResult{}
 			}
-			return applyUpdateWithDelta(best, s, c.opts.Update, incremental)
+			return applyUpdateWithDelta(best, s, c.opts.Update, summary)
 		})
 		if err != nil {
 			rsp.SetAttr("outcome", "cancelled")
@@ -340,7 +328,7 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 		for i := range updates {
 			u := &updates[i]
 			if u.hasDelta {
-				if incremental {
+				if summary {
 					ss.ApplyDelta(u.util, u.vec)
 				}
 				u.vec.Release()
@@ -355,13 +343,4 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 		rsp.End()
 	}
 	return nil
-}
-
-func allSelected(states []*QueryState) bool {
-	for _, s := range states {
-		if !s.Selected {
-			return false
-		}
-	}
-	return true
 }

@@ -8,44 +8,60 @@ import (
 
 	"isum/internal/benchmarks"
 	"isum/internal/cost"
+	"isum/internal/workload"
 )
 
 // TestConsedIdentityOnDistinctTemplates pins that on a workload with no
 // repeated templates, template hash-consing is a no-op: the consed
 // pipeline produces byte-identical output — indices, weights, benefits,
 // rounds — to the plain per-query pipeline (one state per query either
-// way, same interner batch, same utilities).
+// way, same interner batch, same utilities), on every generator.
 func TestConsedIdentityOnDistinctTemplates(t *testing.T) {
-	// 60 Real-M queries cycle 456 templates round-robin: all distinct.
-	w := generatorWorkload(t, "realm", 60)
-	if w.NumTemplates() != w.Len() {
-		t.Fatalf("want distinct templates, got %d templates over %d queries", w.NumTemplates(), w.Len())
-	}
-	const k = 12
-	plain := New(DefaultOptions()).Compress(w, k)
-	for _, par := range []int{1, 4} {
-		opts := DefaultOptions()
-		opts.ConsTemplates = true
-		opts.Parallelism = par
-		got := New(opts).Compress(w, k)
-		if !reflect.DeepEqual(got.Indices, plain.Indices) {
-			t.Fatalf("parallelism=%d: selection diverged:\n got %v\nwant %v", par, got.Indices, plain.Indices)
-		}
-		for i := range got.Indices {
-			if math.Float64bits(got.Weights[i]) != math.Float64bits(plain.Weights[i]) {
-				t.Fatalf("parallelism=%d: weight %d: got %v, plain %v", par, i, got.Weights[i], plain.Weights[i])
+	for _, name := range []string{"tpch", "tpcds", "dsb", "realm"} {
+		t.Run(name, func(t *testing.T) {
+			var w *workload.Workload
+			if name == "realm" {
+				// 60 Real-M queries cycle 456 templates round-robin: all
+				// distinct.
+				w = generatorWorkload(t, name, 60)
+			} else {
+				gen := testGenerator(t, name)
+				var err error
+				if w, err = gen.WorkloadPerTemplate(1, 1); err != nil {
+					t.Fatal(err)
+				}
+				cost.NewOptimizer(gen.Cat).FillCosts(w)
 			}
-			if math.Float64bits(got.SelectionBenefits[i]) != math.Float64bits(plain.SelectionBenefits[i]) {
-				t.Fatalf("parallelism=%d: benefit %d: got %v, plain %v", par, i, got.SelectionBenefits[i], plain.SelectionBenefits[i])
+			if w.NumTemplates() != w.Len() {
+				t.Fatalf("want distinct templates, got %d templates over %d queries", w.NumTemplates(), w.Len())
 			}
-		}
-		if got.Rounds != plain.Rounds {
-			t.Fatalf("parallelism=%d: rounds: got %d, plain %d", par, got.Rounds, plain.Rounds)
-		}
+			const k = 12
+			plain := New(DefaultOptions()).Compress(w, k)
+			for _, par := range []int{1, 4} {
+				opts := DefaultOptions()
+				opts.ConsTemplates = true
+				opts.Parallelism = par
+				got := New(opts).Compress(w, k)
+				if !reflect.DeepEqual(got.Indices, plain.Indices) {
+					t.Fatalf("parallelism=%d: selection diverged:\n got %v\nwant %v", par, got.Indices, plain.Indices)
+				}
+				for i := range got.Indices {
+					if math.Float64bits(got.Weights[i]) != math.Float64bits(plain.Weights[i]) {
+						t.Fatalf("parallelism=%d: weight %d: got %v, plain %v", par, i, got.Weights[i], plain.Weights[i])
+					}
+					if math.Float64bits(got.SelectionBenefits[i]) != math.Float64bits(plain.SelectionBenefits[i]) {
+						t.Fatalf("parallelism=%d: benefit %d: got %v, plain %v", par, i, got.SelectionBenefits[i], plain.SelectionBenefits[i])
+					}
+				}
+				if got.Rounds != plain.Rounds {
+					t.Fatalf("parallelism=%d: rounds: got %d, plain %d", par, got.Rounds, plain.Rounds)
+				}
+			}
+		})
 	}
 }
 
-// TestConsedStatesPoolUtilities pins the consed state builder directly:
+// TestConsedStatesPoolUtilities pins the state builder on template groups:
 // one state per template, representatives are first instances, and each
 // state's utility is the sum of its instances' normalised utilities
 // (Algorithm 4's pooling applied before selection), summing to 1 overall.
@@ -62,7 +78,7 @@ func TestConsedStatesPoolUtilities(t *testing.T) {
 	if nTmpl >= w.Len() {
 		t.Fatalf("duplicated workload has %d templates over %d queries", nTmpl, w.Len())
 	}
-	states, repIdx, err := BuildConsedStatesContext(context.Background(), w, DefaultOptions())
+	states, repIdx, err := buildStates(context.Background(), w, DefaultOptions(), w.TemplateGroups())
 	if err != nil {
 		t.Fatal(err)
 	}

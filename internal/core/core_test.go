@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"isum/internal/catalog"
 	"isum/internal/cost"
@@ -337,6 +340,35 @@ func TestFeatureResetKeepsSelecting(t *testing.T) {
 			t.Fatalf("duplicate selection %d", idx)
 		}
 		seen[idx] = true
+	}
+}
+
+// TestFeatureResetEndsWhenNothingRevives pins the greedy loop's exit when
+// the remaining queries have no indexable features: the feature reset
+// restores only empty vectors, revives nothing, and must end the run
+// instead of repeating forever.
+func TestFeatureResetEndsWhenNothingRevives(t *testing.T) {
+	cat := testCatalog()
+	w, err := workload.New(cat, []string{
+		"SELECT o_totalprice FROM orders WHERE o_orderkey = 5",
+		"SELECT COUNT(*) FROM orders",
+		"SELECT c_custkey FROM customer",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost.NewOptimizer(cat).FillCosts(w)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	res, err := New(DefaultOptions()).CompressContext(ctx, w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Partial {
+		t.Fatalf("run hit the deadline after %d rounds", res.Rounds)
+	}
+	if !reflect.DeepEqual(res.Indices, []int{0}) || res.Rounds != 1 {
+		t.Fatalf("got indices %v in %d rounds, want [0] in 1 round", res.Indices, res.Rounds)
 	}
 }
 

@@ -95,30 +95,27 @@ type Options struct {
 	// identical at any setting: benefits are computed in parallel but
 	// reduced serially in query order (see DESIGN.md, "Concurrency model").
 	Parallelism int
-	// ConsTemplates enables template hash-consing (DESIGN.md §12): queries
-	// are interned by TemplateID before the greedy loop, so all instances
-	// of one template share one feature extraction and one state whose
+	// ConsTemplates enables template hash-consing (DESIGN.md §12): the
+	// compressor builds one selection state per template group
+	// (workload.TemplateGroups) instead of one per query, so all instances
+	// of a template share one feature extraction and one state whose
 	// utility is the sum over the instances (Algorithm 4's pooling applied
-	// up front). Result.Indices refer to each template's first instance.
-	// This collapses template-heavy million-query workloads by orders of
-	// magnitude; on workloads with no repeated templates it is the
-	// identity. Off by default: consing changes selection granularity from
-	// queries to templates, so per-instance selection semantics (and k ≥ n
-	// meaning "every query") only hold with it disabled.
+	// up front). The same builder serves both universes; without consing
+	// every group has one member. Result.Indices refer to each template's
+	// first instance, and k counts templates. This collapses
+	// template-heavy million-query workloads by orders of magnitude; on
+	// workloads with no repeated templates it is the identity. Off by
+	// default: consing changes selection granularity from queries to
+	// templates.
 	ConsTemplates bool
-	// Interner, when non-nil, is the feature dictionary BuildStates interns
-	// extracted vectors into, letting callers keep feature IDs stable
-	// across repeated compressions of overlapping workloads (the
+	// Interner, when non-nil, is the feature dictionary the state builder
+	// interns extracted vectors into, letting callers keep feature IDs
+	// stable across repeated compressions of overlapping workloads (the
 	// incremental pool does this). nil — the default — builds a fresh
-	// workload-scoped dictionary per BuildStates call. A shared Interner is
-	// mutated by BuildStates, so compressions sharing one must not run
+	// workload-scoped dictionary per build. A shared Interner is mutated
+	// by every build, so compressions sharing one must not run
 	// concurrently.
 	Interner *features.Interner
-	// RebuildSummary forces the summary features to be rebuilt from
-	// scratch every greedy round (the literal Algorithm 3 reading) instead
-	// of being maintained incrementally. Debug/validation knob: the
-	// incremental path is algebraically identical and O(rounds) cheaper.
-	RebuildSummary bool
 	// Telemetry receives the compressor's metrics and phase spans
 	// (core/build-states, per-round core/greedy spans with argmax and
 	// update timings — see DESIGN.md §8). nil, the default, disables
@@ -127,7 +124,8 @@ type Options struct {
 	Telemetry *telemetry.Registry
 	// Progress, when non-nil, receives streaming progress events while
 	// the compression runs (DESIGN.md §13): per state-building stride
-	// ("core/build-states"), per greedy selection ("core/greedy", with
+	// ("core/build-states", counting templates under ConsTemplates and
+	// queries otherwise), per greedy selection ("core/greedy", with
 	// round, k-so-far, and cumulative benefit), and after weighing
 	// ("core/weigh"). The function must be safe for concurrent use —
 	// the build sweep emits from worker goroutines. Events are observational

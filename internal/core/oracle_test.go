@@ -143,23 +143,14 @@ func oracleResetIfAllZero(states []*oracleState) bool {
 			return false
 		}
 	}
-	any := false
+	revived := false
 	for _, s := range states {
 		if !s.selected {
 			s.vec = s.orig.Clone()
-			any = true
+			revived = revived || !s.vec.AllZero()
 		}
 	}
-	return any
-}
-
-func oracleAllSelected(states []*oracleState) bool {
-	for _, s := range states {
-		if !s.selected {
-			return false
-		}
-	}
-	return true
+	return revived
 }
 
 func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
@@ -173,15 +164,11 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 	}
 	states, in := oracleBuildStates(w, opts)
 	summary := opts.Algorithm != AllPairs
-	incremental := summary && !opts.RebuildSummary
 	var ss *oracleSummary
 	if summary {
 		ss = oracleBuildSummary(states)
 	}
 	for len(res.Indices) < k {
-		if summary && opts.RebuildSummary {
-			ss = oracleBuildSummary(states)
-		}
 		benefits := make([]float64, n)
 		for i, s := range states {
 			if s.selected || s.vec.AllZero() {
@@ -210,10 +197,10 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 			}
 		}
 		if best == nil {
-			if !oracleResetIfAllZero(states) || oracleAllSelected(states) {
+			if !oracleResetIfAllZero(states) {
 				break
 			}
-			if incremental {
+			if summary {
 				ss = oracleBuildSummary(states)
 			}
 			res.Rounds++
@@ -223,7 +210,7 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 		res.Indices = append(res.Indices, best.idx)
 		res.SelectionBenefits = append(res.SelectionBenefits, bestBenefit)
 		res.Rounds++
-		if incremental {
+		if summary {
 			ss.v.AddScaled(best.vec, -best.util)
 			ss.total -= best.util
 		}
@@ -231,8 +218,8 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 			if s.selected {
 				continue
 			}
-			d := oracleApplyUpdateWithDelta(best, s, opts.Update, incremental, in)
-			if incremental && d != nil {
+			d := oracleApplyUpdateWithDelta(best, s, opts.Update, summary, in)
+			if summary && d != nil {
 				for dk, dw := range d.vec {
 					ss.v[dk] += dw
 				}
@@ -349,25 +336,31 @@ func oracleRecalibrate(states []*oracleState, res *Result, useTemplates bool, in
 // four paper-style generators.
 func generatorWorkload(t testing.TB, name string, n int) *workload.Workload {
 	t.Helper()
-	var gen *benchmarks.Generator
-	switch name {
-	case "tpch":
-		gen = benchmarks.TPCH(10)
-	case "tpcds":
-		gen = benchmarks.TPCDS(10)
-	case "dsb":
-		gen = benchmarks.DSB(10)
-	case "realm":
-		gen = benchmarks.RealM(7)
-	default:
-		t.Fatalf("unknown generator %q", name)
-	}
+	gen := testGenerator(t, name)
 	w, err := gen.Workload(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cost.NewOptimizer(gen.Cat).FillCosts(w)
 	return w
+}
+
+// testGenerator returns the named benchmark generator at the scale the
+// core tests use.
+func testGenerator(t testing.TB, name string) *benchmarks.Generator {
+	t.Helper()
+	switch name {
+	case "tpch":
+		return benchmarks.TPCH(10)
+	case "tpcds":
+		return benchmarks.TPCDS(10)
+	case "dsb":
+		return benchmarks.DSB(10)
+	case "realm":
+		return benchmarks.RealM(7)
+	}
+	t.Fatalf("unknown generator %q", name)
+	return nil
 }
 
 // TestSparseVecPipelineMatchesMapOracle pins the tentpole's invariant:
@@ -386,7 +379,6 @@ func TestSparseVecPipelineMatchesMapOracle(t *testing.T) {
 		{"utility-only", withUpdate(DefaultOptions(), UpdateUtilityOnly)},
 		{"isum-s", ISUMSOptions()},
 		{"allpairs", func() Options { o := DefaultOptions(); o.Algorithm = AllPairs; return o }()},
-		{"rebuild-summary", func() Options { o := DefaultOptions(); o.RebuildSummary = true; return o }()},
 		{"weigh-selection", func() Options { o := DefaultOptions(); o.Weighing = WeighSelectionBenefit; return o }()},
 	}
 	const n, k = 60, 12

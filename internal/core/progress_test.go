@@ -56,7 +56,7 @@ func TestProgressDoesNotChangeOutput(t *testing.T) {
 		{
 			name:       "consed",
 			configure:  func(o *Options) { o.ConsTemplates = true },
-			wantPhases: []string{"core/build-consed-states", "core/greedy", "core/weigh"},
+			wantPhases: []string{"core/build-states", "core/greedy", "core/weigh"},
 		},
 	}
 	for _, tc := range cases {

@@ -82,71 +82,112 @@ func BuildStates(w *workload.Workload, opts Options) []*QueryState {
 // aborts the feature-extraction sweep and returns the context's error
 // (states built so far are discarded — partially built states are not
 // meaningful), and a contained worker panic surfaces as a *PanicError.
+func BuildStatesContext(ctx context.Context, w *workload.Workload, opts Options) ([]*QueryState, error) {
+	states, _, err := buildStates(ctx, w, opts, nil)
+	return states, err
+}
+
+// buildStates builds one selection state per template group and returns
+// them with repIdx, which maps each state's position to its
+// representative's workload position (the group's first instance). A nil
+// groups means one group per query: the per-query universe, with repIdx
+// the identity. Compression with Options.ConsTemplates passes
+// w.TemplateGroups() (template hash-consing, DESIGN.md §12).
+//
+// Instances of one template differ only in literal bindings, so the
+// representative's feature extraction stands in for the group. A group
+// state's utility is the sum of its instances' normalised utilities
+// U(q) = Δ(q)/ΣΔ — Algorithm 4's template pooling applied before
+// selection — so a selected template carries the combined weight of every
+// query it represents; a singleton group's 0 + Δ/ΣΔ is bitwise Δ/ΣΔ. ΣΔ
+// ranges over all queries and is reduced serially in query order, so
+// utilities are bit-identical at any parallelism.
 //
 // Extraction produces map-shaped vectors; their keys are interned into
 // the workload dictionary (opts.Interner if set, else a fresh one) in a
 // single serial batch, and the vectors are converted to sorted SparseVec
 // form in a second parallel sweep. Batch interning is what makes IDs —
 // and so every downstream merge-join — reproducible across runs.
-func BuildStatesContext(ctx context.Context, w *workload.Workload, opts Options) ([]*QueryState, error) {
+func buildStates(ctx context.Context, w *workload.Workload, opts Options, groups []workload.TemplateGroup) ([]*QueryState, []int, error) {
 	sp := opts.Telemetry.Start("core/build-states")
 	defer sp.End()
-	sp.SetAttr("n", len(w.Queries))
+	sp.SetAttr("n", w.Len())
+	if groups != nil {
+		sp.SetAttr("templates", len(groups))
+		workload.RecordConsed(len(groups), w.Len()-len(groups))
+	} else {
+		groups = make([]workload.TemplateGroup, w.Len())
+		for i := range groups {
+			groups[i].Indices = []int{i}
+		}
+	}
+
+	workers := parallel.Workers(opts.Parallelism)
+	deltas, err := parallel.Map(ctx, workers, w.Len(), func(i int) float64 {
+		return delta(w.Queries[i], opts.Utility)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var totalDelta float64
+	for _, d := range deltas {
+		totalDelta += d
+	}
 
 	ex := opts.extractor(w.Catalog)
 	in := opts.Interner
 	if in == nil {
 		in = features.NewInterner()
 	}
-	states := make([]*QueryState, len(w.Queries))
-	deltas := make([]float64, len(w.Queries))
-	vecs := make([]features.Vector, len(w.Queries))
-	workers := parallel.Workers(opts.Parallelism)
+	vecs := make([]features.Vector, len(groups))
 	var built atomic.Int64 // progress stride counter; workers emit, so Progress must be concurrency-safe
-	err := parallel.ForEach(ctx, workers, len(w.Queries), func(i int) {
-		q := w.Queries[i]
-		deltas[i] = delta(q, opts.Utility)
-		vecs[i] = ex.Features(q)
+	err = parallel.ForEach(ctx, workers, len(groups), func(g int) {
+		vecs[g] = ex.Features(w.Queries[groups[g].Indices[0]])
 		if opts.Progress != nil {
 			if d := built.Add(1); d%progressStride == 0 {
 				opts.Progress(telemetry.ProgressEvent{
-					Phase: "core/build-states", Done: int(d), Total: len(w.Queries),
+					Phase: "core/build-states", Done: int(d), Total: len(groups),
 				})
 			}
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts.Progress.Emit(telemetry.ProgressEvent{
-		Phase: "core/build-states", Done: len(w.Queries), Total: len(w.Queries),
+		Phase: "core/build-states", Done: len(groups), Total: len(groups),
 	})
 	in.AddVectors(vecs)
 	sp.SetAttr("features", in.Len())
-	err = parallel.ForEach(ctx, workers, len(w.Queries), func(i int) {
-		sv := in.FromMap(vecs[i])
-		states[i] = &QueryState{
-			Index:    i,
-			Query:    w.Queries[i],
+
+	states := make([]*QueryState, len(groups))
+	repIdx := make([]int, len(groups))
+	err = parallel.ForEach(ctx, workers, len(groups), func(g int) {
+		rep := groups[g].Indices[0]
+		repIdx[g] = rep
+		sv := in.FromMap(vecs[g])
+		states[g] = &QueryState{
+			Index:    g,
+			Query:    w.Queries[rep],
 			Vec:      sv.Clone(),
 			OrigVec:  sv,
 			Interner: in,
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var totalDelta float64
-	for _, d := range deltas {
-		totalDelta += d
-	}
-	for i, s := range states {
+	for g, grp := range groups {
+		var u float64
 		if totalDelta > 0 {
-			s.Utility = deltas[i] / totalDelta
+			for _, i := range grp.Indices {
+				u += deltas[i] / totalDelta
+			}
 		}
-		s.OrigUtility = s.Utility
+		states[g].Utility = u
+		states[g].OrigUtility = u
 	}
-	return states, nil
+	return states, repIdx, nil
 }
 
 // applyUpdate updates an unselected query's state given a newly selected
@@ -236,13 +277,13 @@ func applyUpdateWithDelta(sel, q *QueryState, strategy UpdateStrategy, track boo
 // every remaining query's features are exhausted (Algorithm 2, line 12).
 // live is the greedy loop's maintained count of unselected states with
 // non-exhausted vectors, so the common case is a counter check instead
-// of an O(n) scan. Returns whether a reset happened and the new live
-// count.
+// of an O(n) scan. Returns whether the reset revived any state and the
+// new live count: a reset that revives nothing would only repeat, so it
+// reports none and the loop ends.
 func resetIfAllZero(states []*QueryState, live int) (bool, int) {
 	if live > 0 {
 		return false, live
 	}
-	any := false
 	n := 0
 	for _, s := range states {
 		if s.Selected {
@@ -250,12 +291,11 @@ func resetIfAllZero(states []*QueryState, live int) (bool, int) {
 		}
 		s.Vec.Release()
 		s.Vec = s.OrigVec.Clone()
-		any = true
 		if !s.Vec.AllZero() {
 			n++
 		}
 	}
-	return any, n
+	return n > 0, n
 }
 
 // countLive returns the number of unselected states whose vectors still

@@ -7,7 +7,7 @@ import (
 
 // TestIncrementalSummaryMatchesRebuild drives greedy rounds by hand,
 // maintaining the summary incrementally (RemoveSelected + ApplyDelta, the
-// default path) while also rebuilding it from scratch each round, and
+// greedy loop's only path) while also rebuilding it from scratch each round, and
 // asserts the two agree. Agreement is within float tolerance, not
 // bit-exact: subtracting a contribution is not the bitwise inverse of
 // never having added it, which is exactly the noise the selection loop's
@@ -73,36 +73,6 @@ func TestIncrementalSummaryMatchesRebuild(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRebuildSummaryFlagEquivalence checks the debug flag end to end: the
-// incremental default and the per-round rebuild select the same queries
-// with the same weights.
-func TestRebuildSummaryFlagEquivalence(t *testing.T) {
-	w := testWorkload(t)
-	incOpts := DefaultOptions()
-	rebOpts := DefaultOptions()
-	rebOpts.RebuildSummary = true
-
-	for _, k := range []int{1, 4, 8, 16} {
-		incRes := New(incOpts).Compress(w, k)
-		rebRes := New(rebOpts).Compress(w, k)
-		if len(incRes.Indices) != len(rebRes.Indices) {
-			t.Fatalf("k=%d: selected %d vs %d queries", k, len(incRes.Indices), len(rebRes.Indices))
-		}
-		for i := range incRes.Indices {
-			if incRes.Indices[i] != rebRes.Indices[i] {
-				t.Fatalf("k=%d: selection diverged at position %d: %v vs %v",
-					k, i, incRes.Indices, rebRes.Indices)
-			}
-			if d := math.Abs(incRes.Weights[i] - rebRes.Weights[i]); d > 1e-9 {
-				t.Fatalf("k=%d: weight %d drifted by %g", k, i, d)
-			}
-			if d := math.Abs(incRes.SelectionBenefits[i] - rebRes.SelectionBenefits[i]); d > 1e-9 {
-				t.Fatalf("k=%d: selection benefit %d drifted by %g", k, i, d)
-			}
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -145,8 +146,8 @@ func TestOptimizerShardedCacheStress(t *testing.T) {
 }
 
 // TestWorkloadCostParallelDeterminism checks the ordered-reduction
-// guarantee: WorkloadCostN returns bit-identical sums at any parallelism,
-// and FillCostsN matches serial filling.
+// guarantee: WorkloadCostCtx returns bit-identical sums at any
+// parallelism, and FillCostsCtx matches serial filling.
 func TestWorkloadCostParallelDeterminism(t *testing.T) {
 	cat := testCatalog()
 	o := NewOptimizer(cat)
@@ -157,23 +158,35 @@ func TestWorkloadCostParallelDeterminism(t *testing.T) {
 		w.Queries = append(w.Queries, q)
 	}
 	cfg := index.NewConfiguration(index.New("orders", "o_custkey"))
+	ctx := context.Background()
 
-	want := o.WorkloadCostN(w, cfg, 1)
+	want, err := o.WorkloadCostCtx(ctx, w, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want <= 0 {
 		t.Fatal("non-positive workload cost")
 	}
 	for _, p := range []int{0, 2, 8} {
-		if got := o.WorkloadCostN(w, cfg, p); got != want {
+		got, err := o.WorkloadCostCtx(ctx, w, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
 			t.Fatalf("parallelism %d: workload cost %v != serial %v", p, got, want)
 		}
 	}
 
-	o.FillCostsN(w, 1)
+	if err := o.FillCostsCtx(ctx, w, 1); err != nil {
+		t.Fatal(err)
+	}
 	serial := make([]float64, len(w.Queries))
 	for i, q := range w.Queries {
 		serial[i] = q.Cost
 	}
-	o.FillCostsN(w, 8)
+	if err := o.FillCostsCtx(ctx, w, 8); err != nil {
+		t.Fatal(err)
+	}
 	for i, q := range w.Queries {
 		if q.Cost != serial[i] {
 			t.Fatalf("query %d: parallel fill %v != serial %v", i, q.Cost, serial[i])

@@ -324,26 +324,21 @@ func (o *Optimizer) planWithRetry(ctx context.Context, q *workload.Query, cfg *i
 
 // WorkloadCost returns the weighted cost Σ w(q)·C(q) of the workload under
 // the configuration, fanning the per-query what-if calls across every core.
+// Panics under fault injection when retries are exhausted; ctx-aware
+// callers use WorkloadCostCtx.
 func (o *Optimizer) WorkloadCost(w *workload.Workload, cfg *index.Configuration) float64 {
-	return o.WorkloadCostN(w, cfg, 0)
-}
-
-// WorkloadCostN is WorkloadCost with an explicit parallelism (0 =
-// GOMAXPROCS, 1 = serial). The weighted sum is reduced in input order, so
-// the result is bit-identical at any parallelism. Panics under fault
-// injection when retries are exhausted; ctx-aware callers use
-// WorkloadCostCtx.
-func (o *Optimizer) WorkloadCostN(w *workload.Workload, cfg *index.Configuration, parallelism int) float64 {
-	c, err := o.WorkloadCostCtx(context.Background(), w, cfg, parallelism)
+	c, err := o.WorkloadCostCtx(context.Background(), w, cfg, 0)
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
 
-// WorkloadCostCtx is WorkloadCostN with cancellation and failure
-// reporting: the first what-if failure (retries exhausted) or a ctx
-// cancellation aborts the scan and is returned.
+// WorkloadCostCtx is WorkloadCost with an explicit parallelism (0 =
+// GOMAXPROCS, 1 = serial), cancellation and failure reporting: the first
+// what-if failure (retries exhausted) or a ctx cancellation aborts the
+// scan and is returned. The weighted sum is reduced in input order, so the
+// result is bit-identical at any parallelism.
 func (o *Optimizer) WorkloadCostCtx(ctx context.Context, w *workload.Workload, cfg *index.Configuration, parallelism int) (float64, error) {
 	type qc struct {
 		v   float64
@@ -377,21 +372,16 @@ func (o *Optimizer) WorkloadCostCtx(ctx context.Context, w *workload.Workload, c
 // with optimizer estimated costs" the paper's problem statement assumes.
 // The what-if calls fan out across every core.
 func (o *Optimizer) FillCosts(w *workload.Workload) {
-	o.FillCostsN(w, 0)
-}
-
-// FillCostsN is FillCosts with an explicit parallelism (0 = GOMAXPROCS,
-// 1 = serial). Costs are computed in parallel but assigned serially, so
-// workloads that alias the same *Query stay race-free.
-func (o *Optimizer) FillCostsN(w *workload.Workload, parallelism int) {
-	if err := o.FillCostsCtx(context.Background(), w, parallelism); err != nil {
+	if err := o.FillCostsCtx(context.Background(), w, 0); err != nil {
 		panic(err)
 	}
 }
 
-// FillCostsCtx is FillCostsN with cancellation and failure reporting. On a
-// non-nil error no Cost field has been assigned — the workload is left
-// untouched rather than partially costed.
+// FillCostsCtx is FillCosts with an explicit parallelism (0 = GOMAXPROCS,
+// 1 = serial), cancellation and failure reporting. Costs are computed in
+// parallel but assigned serially, so workloads that alias the same *Query
+// stay race-free. On a non-nil error no Cost field has been assigned — the
+// workload is left untouched rather than partially costed.
 func (o *Optimizer) FillCostsCtx(ctx context.Context, w *workload.Workload, parallelism int) error {
 	type qc struct {
 		v   float64

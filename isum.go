@@ -146,8 +146,8 @@ func NewOptimizer(cat *Catalog) *Optimizer { return cost.NewOptimizer(cat) }
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // NewOptimizerWithTelemetry returns a what-if optimizer whose call, plan,
-// and per-shard cache counters register in reg (nil reg behaves like
-// NewOptimizer).
+// and cache counters (cost/cache/{hits,misses}) register in reg (nil reg
+// behaves like NewOptimizer).
 func NewOptimizerWithTelemetry(cat *Catalog, reg *Telemetry) *Optimizer {
 	return cost.NewOptimizerWithTelemetry(cat, cost.DefaultParams(), reg)
 }

@@ -55,13 +55,16 @@ trap 'rm -f "$metrics_out"' EXIT
 # (workload/templates/*) appear in the export.
 go run ./cmd/isum -benchmark tpch -n 60 -k 8 -cons -trace -metrics-out "$metrics_out" >/dev/null
 # -names-from closes the code/export loop: every literal metric name
-# registered by internal/cost must actually appear in the smoke export.
+# registered by internal/cost, internal/core and internal/workload must
+# actually appear in the smoke export.
 go run ./scripts/metricscheck \
     -require cost/whatif/calls \
     -require core/greedy/rounds \
     -require workload/templates/consed \
     -require workload/templates/deduped \
     -names-from internal/cost \
+    -names-from internal/core \
+    -names-from internal/workload \
     "$metrics_out"
 
 echo "== debug-server smoke =="
