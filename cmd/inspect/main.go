@@ -223,7 +223,7 @@ func main() {
 	// Summary features.
 	fmt.Printf("\nworkload summary features (top weights):\n")
 	if len(states) > 0 {
-		sv := ss.V.ToMap(states[0].Interner)
+		sv := ss.Vec().ToMap(states[0].Interner)
 		keys := make([]string, 0, len(sv))
 		for k := range sv {
 			keys = append(keys, k)

@@ -33,10 +33,10 @@ func TestHotpathCoversZeroAllocKernels(t *testing.T) {
 
 	// The TestKernelZeroAlloc set, by "Recv.Name" spelling.
 	wantFeatures := []string{
-		"SparseVec.WeightedJaccard", "SparseVec.Jaccard", "SummarySimilarity",
-		"SparseVec.Sum", "SparseVec.SubClampedScaled", "SparseVec.ZeroShared",
-		"SparseVec.AddScaled", "SparseVec.SharedWeights", "UpdateDelta",
-		"SparseVec.Release",
+		"SparseVec.WeightedJaccard", "SparseVec.Jaccard", "SparseVec.Sum",
+		"SparseVec.SubClampedScaled", "SparseVec.ZeroShared", "SparseVec.AddScaled",
+		"SparseVec.SharedWeights", "UpdateDelta", "SparseVec.Release",
+		"DenseVec.AddScaled", "DenseVec.SummarySimilarity",
 	}
 	feats := marked["isum/internal/features"]
 	if feats == nil {

@@ -29,54 +29,79 @@ func BenefitAllPairs(qi *QueryState, states []*QueryState) float64 {
 	return b
 }
 
-// SummaryState carries the workload-level summary features and total
-// utility over the unselected queries, for the linear-time benefit.
+// SummaryState carries the workload-level summary features V and total
+// utility over the unselected queries, for the linear-time benefit. V is
+// held densely by interned feature ID (features.DenseVec), so building
+// and updating it are scatters over the touched IDs and a benefit
+// evaluation gathers over the query's IDs only (DESIGN.md §11).
 type SummaryState struct {
-	V            features.SparseVec
+	v            features.DenseVec
 	TotalUtility float64
 }
 
 // BuildSummary computes the summary features V (Definition 11) and total
-// utility over the unselected queries.
+// utility over the unselected queries, ready for benefit evaluation.
 func BuildSummary(states []*QueryState) *SummaryState {
 	ss := &SummaryState{}
+	ss.rebuild(states)
+	return ss
+}
+
+// rebuild recomputes the summary from scratch over the unselected
+// queries, reusing the dense storage. Contributions are scattered in
+// state order, so every entry has the bits a merge-built summary has.
+func (ss *SummaryState) rebuild(states []*QueryState) {
+	ss.v.Reset()
+	ss.TotalUtility = 0
 	for _, s := range states {
 		if s.Selected {
 			continue
 		}
-		ss.V.AddScaled(s.Vec, s.Utility)
+		ss.v.AddScaled(s.Vec, s.Utility)
 		ss.TotalUtility += s.Utility
 	}
-	return ss
+	ss.v.RefreshMass()
 }
+
+// Vec returns the summary features V as a SparseVec copy, in
+// ascending-ID order: the read accessor for display and tests.
+func (ss *SummaryState) Vec() features.SparseVec { return ss.v.ToSparse(features.SparseVec{}) }
 
 // RemoveSelected subtracts a just-selected query's contribution
 // (Utility·Vec at selection time) from the summary — the first half of the
 // incremental maintenance that replaces the per-round BuildSummary rebuild.
+// Call Refresh once the round's updates are folded in.
 //
 //lint:hotpath
 func (ss *SummaryState) RemoveSelected(q *QueryState) {
-	ss.V.AddScaled(q.Vec, -q.Utility)
+	ss.v.AddScaled(q.Vec, -q.Utility)
 	ss.TotalUtility -= q.Utility
 }
 
 // ApplyDelta folds one unselected query's contribution delta (produced by
 // the post-selection update sweep) into the summary. Deltas must be applied
-// in query-index order for bit-identical summaries across runs.
+// in query-index order for bit-identical summaries across runs. Call
+// Refresh once the round's updates are folded in.
 //
 //lint:hotpath
 func (ss *SummaryState) ApplyDelta(util float64, vec features.SparseVec) {
-	ss.V.Add(vec)
+	ss.v.AddScaled(vec, 1)
 	ss.TotalUtility += util
 }
 
+// Refresh recomputes the summary mass the benefit kernel reads, O(|V|):
+// call it once per round, after RemoveSelected and the ApplyDelta calls
+// and before the next benefit scan.
+func (ss *SummaryState) Refresh() { ss.v.RefreshMass() }
+
 // BenefitSummary returns qi's benefit against the summary (Algorithm 3):
 // its utility plus S(qi, V′) where V′ excludes qi's own contribution,
-// computed by the fused merge-join kernel (no temporary summary copy).
+// computed by the dense gather kernel in O(|qi|) (no temporary summary
+// copy).
 //
 //lint:hotpath
 func BenefitSummary(qi *QueryState, ss *SummaryState) float64 {
-	return qi.Utility + features.SummarySimilarity(qi.Vec, ss.V, qi.Utility, ss.TotalUtility)
+	return qi.Utility + ss.v.SummarySimilarity(qi.Vec, qi.Utility, ss.TotalUtility)
 }
 
 // InfluenceOnWorkload returns F_qs(W) = Σ_j S(qs,qj)·U(qj), the all-pairs
@@ -100,5 +125,5 @@ func InfluenceOnWorkload(qs *QueryState, states []*QueryState) float64 {
 //
 //lint:hotpath
 func InfluenceOnSummary(qs *QueryState, ss *SummaryState) float64 {
-	return features.SummarySimilarity(qs.Vec, ss.V, qs.Utility, ss.TotalUtility)
+	return ss.v.SummarySimilarity(qs.Vec, qs.Utility, ss.TotalUtility)
 }

@@ -176,9 +176,10 @@ func isCancel(err error) bool {
 // slice and the argmax (with its epsilon tie-break) runs serially over it,
 // so the selection is identical to the serial path at any worker count.
 // The summary features are maintained incrementally (RemoveSelected +
-// per-query ApplyDelta, applied in index order) instead of rebuilt O(n)
-// every round; TestIncrementalSummaryMatchesRebuild pins the two against
-// each other.
+// per-query ApplyDelta, applied in index order, then one O(|V|) Refresh)
+// instead of rebuilt O(n) every round; TestIncrementalSummaryMatchesRebuild
+// pins the two against each other. The summary is dense by feature ID, so
+// each benefit evaluation costs O(|q|), and the round is linear in Σ|q|.
 //
 // Cancellation is observed at round boundaries and inside the parallel
 // sweeps. A benefit scan cut short discards the round (no selection from
@@ -275,7 +276,7 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 			}
 			resets.Inc()
 			if summary {
-				ss = BuildSummary(states)
+				ss.rebuild(states)
 			}
 			res.Rounds++
 			rsp.SetAttr("outcome", "feature-reset")
@@ -336,6 +337,9 @@ func (c *Compressor) selectGreedy(ctx context.Context, states []*QueryState, k i
 			if u.emptied {
 				live--
 			}
+		}
+		if summary {
+			ss.Refresh()
 		}
 		if reg != nil {
 			updateNanos.Observe(float64(time.Since(tUpdate).Nanoseconds()))

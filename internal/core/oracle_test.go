@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"isum/internal/benchmarks"
@@ -21,7 +22,8 @@ import (
 
 // oracleState mirrors QueryState with map-shaped vectors.
 type oracleState struct {
-	idx      int
+	idx      int // state position
+	rep      int // workload position of the state's (representative) query
 	q        *workload.Query
 	vec      features.Vector
 	orig     features.Vector
@@ -40,14 +42,27 @@ type oracleDelta struct {
 	vec  features.Vector
 }
 
+// oracleBuildStates builds one state per query, or one per template
+// group under opts.ConsTemplates, with the group's pooled utility.
 func oracleBuildStates(w *workload.Workload, opts Options) ([]*oracleState, *features.Interner) {
 	ex := opts.extractor(w.Catalog)
-	states := make([]*oracleState, len(w.Queries))
 	deltas := make([]float64, len(w.Queries))
-	vecs := make([]features.Vector, len(w.Queries))
 	for i, q := range w.Queries {
 		deltas[i] = delta(q, opts.Utility)
-		vecs[i] = ex.Features(q)
+	}
+	var groups [][]int
+	if opts.ConsTemplates {
+		for _, g := range w.TemplateGroups() {
+			groups = append(groups, g.Indices)
+		}
+	} else {
+		for i := range w.Queries {
+			groups = append(groups, []int{i})
+		}
+	}
+	vecs := make([]features.Vector, len(groups))
+	for g, members := range groups {
+		vecs[g] = ex.Features(w.Queries[members[0]])
 	}
 	// Same single-batch dictionary construction as BuildStatesContext, so
 	// oracle and production agree on the canonical (ascending-ID) order.
@@ -57,13 +72,16 @@ func oracleBuildStates(w *workload.Workload, opts Options) ([]*oracleState, *fea
 	for _, d := range deltas {
 		totalDelta += d
 	}
-	for i := range w.Queries {
-		s := &oracleState{idx: i, q: w.Queries[i], vec: vecs[i].Clone(), orig: vecs[i]}
+	states := make([]*oracleState, len(groups))
+	for g, members := range groups {
+		s := &oracleState{idx: g, rep: members[0], q: w.Queries[members[0]], vec: vecs[g].Clone(), orig: vecs[g]}
 		if totalDelta > 0 {
-			s.util = deltas[i] / totalDelta
+			for _, i := range members {
+				s.util += deltas[i] / totalDelta
+			}
 		}
 		s.origUtil = s.util
-		states[i] = s
+		states[g] = s
 	}
 	return states, in
 }
@@ -153,7 +171,15 @@ func oracleResetIfAllZero(states []*oracleState) bool {
 	return revived
 }
 
+// oracleSummarySim is the summary-similarity S(q, V′) an oracle run uses
+// for the Algorithm 3 benefit.
+type oracleSummarySim func(q, v features.Vector, qUtil, totalUtil float64, in *features.Interner) float64
+
 func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
+	return oracleCompressWith(w, k, opts, features.RefSummarySimilarity)
+}
+
+func oracleCompressWith(w *workload.Workload, k int, opts Options, summarySim oracleSummarySim) *Result {
 	res := &Result{}
 	n := w.Len()
 	if n == 0 || k <= 0 {
@@ -163,6 +189,9 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 		k = n
 	}
 	states, in := oracleBuildStates(w, opts)
+	if k > len(states) {
+		k = len(states)
+	}
 	summary := opts.Algorithm != AllPairs
 	var ss *oracleSummary
 	if summary {
@@ -185,7 +214,7 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 				}
 				benefits[i] = b
 			} else {
-				benefits[i] = s.util + features.RefSummarySimilarity(s.vec, ss.v, s.util, ss.total, in)
+				benefits[i] = s.util + summarySim(s.vec, ss.v, s.util, ss.total, in)
 			}
 		}
 		const benefitEps = 1e-9
@@ -228,6 +257,9 @@ func oracleCompress(w *workload.Workload, k int, opts Options) *Result {
 		}
 	}
 	res.Weights = oracleWeigh(states, res, opts, in)
+	for i, g := range res.Indices {
+		res.Indices[i] = states[g].rep
+	}
 	return res
 }
 
@@ -358,6 +390,8 @@ func testGenerator(t testing.TB, name string) *benchmarks.Generator {
 		return benchmarks.DSB(10)
 	case "realm":
 		return benchmarks.RealM(7)
+	case "scalem":
+		return benchmarks.ScaleM(3, 40)
 	}
 	t.Fatalf("unknown generator %q", name)
 	return nil
@@ -415,6 +449,50 @@ func TestSparseVecPipelineMatchesMapOracle(t *testing.T) {
 					}
 					if got.Rounds != want.Rounds {
 						t.Fatalf("rounds: got %d, oracle %d", got.Rounds, want.Rounds)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDenseKernelMatchesLegacyMergeOrder holds the production pipeline to
+// an oracle that keeps the merge-join kernel's grouping of the benefit's
+// max sum (RefStagedSummarySimilarity: every untouched summary entry
+// added one by one in ascending-ID order), where production takes their
+// total from the summary mass. The regrouping may move benefits in their
+// last ulps, so those must agree to 1e-12; everything downstream of the
+// argmax — selections, rounds, and the default recalibrated weights —
+// must not move at all. Runs on every generator, per query and with
+// template hash-consing, at parallelism 1 and 4.
+func TestDenseKernelMatchesLegacyMergeOrder(t *testing.T) {
+	const n, k = 200, 16
+	for _, genName := range []string{"tpch", "tpcds", "dsb", "realm", "scalem"} {
+		w := generatorWorkload(t, genName, n)
+		for _, cons := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.ConsTemplates = cons
+			want := oracleCompressWith(w, k, opts, features.RefStagedSummarySimilarity)
+			for _, par := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/cons=%v/parallelism=%d", genName, cons, par), func(t *testing.T) {
+					opts.Parallelism = par
+					got := New(opts).Compress(w, k)
+					if !reflect.DeepEqual(got.Indices, want.Indices) {
+						t.Fatalf("selection diverged:\n got %v\nwant %v", got.Indices, want.Indices)
+					}
+					if got.Rounds != want.Rounds {
+						t.Fatalf("rounds: got %d, legacy %d", got.Rounds, want.Rounds)
+					}
+					for i := range got.Indices {
+						if got.Weights[i] != want.Weights[i] {
+							t.Fatalf("weight %d: got %x (%v), legacy %x (%v)", i,
+								math.Float64bits(got.Weights[i]), got.Weights[i],
+								math.Float64bits(want.Weights[i]), want.Weights[i])
+						}
+						if d := math.Abs(got.SelectionBenefits[i] - want.SelectionBenefits[i]); d > 1e-12 {
+							t.Fatalf("benefit %d: got %v, legacy %v (drift %g)", i,
+								got.SelectionBenefits[i], want.SelectionBenefits[i], d)
+						}
 					}
 				})
 			}

@@ -191,18 +191,18 @@ func TestCompressContractQuick(t *testing.T) {
 func TestSummaryMatchesManualSum(t *testing.T) {
 	w := testWorkload(t)
 	states := BuildStates(w, DefaultOptions())
-	ss := BuildSummary(states)
+	sv := BuildSummary(states).Vec()
 	manual := map[uint32]float64{}
 	for _, s := range states {
 		s.Vec.Each(func(k uint32, v float64) {
 			manual[k] += v * s.Utility
 		})
 	}
-	if len(manual) != ss.V.Len() {
-		t.Fatalf("support mismatch: %d vs %d", len(manual), ss.V.Len())
+	if len(manual) != sv.Len() {
+		t.Fatalf("support mismatch: %d vs %d", len(manual), sv.Len())
 	}
 	for k, v := range manual {
-		got, _ := ss.V.Get(k)
+		got, _ := sv.Get(k)
 		if math.Abs(got-v) > 1e-9 {
 			t.Fatalf("summary[%d] = %f, want %f", k, got, v)
 		}

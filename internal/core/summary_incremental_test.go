@@ -30,8 +30,9 @@ func TestIncrementalSummaryMatchesRebuild(t *testing.T) {
 					t.Fatalf("round %d: total utility drifted by %g (inc %v, rebuilt %v)",
 						round, d, inc.TotalUtility, rebuilt.TotalUtility)
 				}
-				rebuilt.V.Each(func(k uint32, want float64) {
-					got, _ := inc.V.Get(k)
+				incV, rebuiltV := inc.Vec(), rebuilt.Vec()
+				rebuiltV.Each(func(k uint32, want float64) {
+					got, _ := incV.Get(k)
 					if d := math.Abs(got - want); d > 1e-9 {
 						t.Fatalf("round %d: V[%d] drifted by %g (inc %v, rebuilt %v)",
 							round, k, d, got, want)
@@ -39,8 +40,8 @@ func TestIncrementalSummaryMatchesRebuild(t *testing.T) {
 				})
 				// Residue entries the incremental summary keeps at ~0 must
 				// actually be ~0.
-				inc.V.Each(func(k uint32, got float64) {
-					if _, ok := rebuilt.V.Get(k); !ok && math.Abs(got) > 1e-9 {
+				incV.Each(func(k uint32, got float64) {
+					if _, ok := rebuiltV.Get(k); !ok && math.Abs(got) > 1e-9 {
 						t.Fatalf("round %d: incremental residue V[%d] = %v", round, k, got)
 					}
 				})
@@ -71,6 +72,7 @@ func TestIncrementalSummaryMatchesRebuild(t *testing.T) {
 						r.vec.Release()
 					}
 				}
+				inc.Refresh()
 			}
 		})
 	}

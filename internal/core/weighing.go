@@ -30,16 +30,23 @@ func (c *Compressor) weigh(w *workload.Workload, states []*QueryState, res *Resu
 // utility pooling when useTemplates is set): the selected queries' benefits
 // are recomputed greedily against summary features built from the
 // *unselected* remainder only, so selection-order bias disappears.
+//
+// Bookkeeping is index-addressed: W_u membership by state position,
+// utility and benefit by selection position. Each round's W_u summary is
+// scattered into one reused dense vector and compacted once to a
+// SparseVec; scattering adds per ID in the order SparseVec.AddScaled
+// merges would, so the weights do not depend on the summary's form.
 func (c *Compressor) recalibrate(w *workload.Workload, states []*QueryState, res *Result, useTemplates bool) []float64 {
-	selectedSet := map[int]bool{}
+	k := len(res.Indices)
+	// outWu marks the states left out of the remainder W_u: the selected
+	// queries and, under template pooling, their templates' other queries.
+	outWu := make([]bool, len(states))
 	for _, idx := range res.Indices {
-		selectedSet[idx] = true
+		outWu[idx] = true
 	}
 
-	// Per-query recalibrated utility for the selected queries, and the set
-	// of unselected queries forming W_u.
-	utility := map[int]float64{}
-	excluded := map[int]bool{} // unselected queries removed from W_u
+	// Recalibrated utility per selected query.
+	utility := make([]float64, k)
 	if useTemplates {
 		// Algorithm 4: pool utilities per template.
 		freq := map[string]int{}
@@ -47,22 +54,20 @@ func (c *Compressor) recalibrate(w *workload.Workload, states []*QueryState, res
 			freq[states[idx].Query.TemplateID]++
 		}
 		totalU := map[string]float64{}
-		for _, s := range states {
+		for i, s := range states {
 			tid := s.Query.TemplateID
 			if freq[tid] > 0 {
 				totalU[tid] += s.OrigUtility
-				if !selectedSet[s.Index] {
-					excluded[s.Index] = true // same template: represented already
-				}
+				outWu[i] = true // same template: represented already
 			}
 		}
-		for _, idx := range res.Indices {
+		for p, idx := range res.Indices {
 			tid := states[idx].Query.TemplateID
-			utility[idx] = totalU[tid] / float64(freq[tid])
+			utility[p] = totalU[tid] / float64(freq[tid])
 		}
 	} else {
-		for _, idx := range res.Indices {
-			utility[idx] = states[idx].OrigUtility
+		for p, idx := range res.Indices {
+			utility[p] = states[idx].OrigUtility
 		}
 	}
 
@@ -71,51 +76,56 @@ func (c *Compressor) recalibrate(w *workload.Workload, states []*QueryState, res
 		vec  features.SparseVec
 		util float64
 	}
-	var wu []*uState
-	for _, s := range states {
-		if selectedSet[s.Index] || excluded[s.Index] {
-			continue
+	wu := make([]uState, 0, len(states)-k)
+	for i, s := range states {
+		if !outWu[i] {
+			wu = append(wu, uState{vec: s.OrigVec.Clone(), util: s.OrigUtility})
 		}
-		wu = append(wu, &uState{vec: s.OrigVec.Clone(), util: s.OrigUtility})
 	}
 
-	remaining := append([]int{}, res.Indices...)
-	benefit := map[int]float64{}
+	remaining := make([]int, k) // selection positions not yet recalibrated
+	for p := range remaining {
+		remaining[p] = p
+	}
+	benefit := make([]float64, k)
 	total := 0.0
+	var dense features.DenseVec
+	var summary features.SparseVec
 	for len(remaining) > 0 {
 		// Summary features over the current W_u.
-		var summary features.SparseVec
+		dense.Reset()
 		for _, u := range wu {
-			summary.AddScaled(u.vec, u.util)
+			dense.AddScaled(u.vec, u.util)
 		}
+		summary = dense.ToSparse(summary)
 		bestPos, bestB := -1, -1.0
-		for pos, idx := range remaining {
-			b := utility[idx] + states[idx].OrigVec.WeightedJaccard(summary)
+		for pos, p := range remaining {
+			b := utility[p] + states[res.Indices[p]].OrigVec.WeightedJaccard(summary)
 			if b > bestB+1e-9 { // epsilon tie-break, see selectGreedy
 				bestB, bestPos = b, pos
 			}
 		}
-		summary.Release()
-		idx := remaining[bestPos]
+		p := remaining[bestPos]
 		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
-		benefit[idx] = bestB
+		benefit[p] = bestB
 		total += bestB
 		// Update W_u with the chosen query: discount utilities and remove
 		// covered features, as during selection.
-		chosenVec := states[idx].OrigVec
-		for _, u := range wu {
+		chosenVec := states[res.Indices[p]].OrigVec
+		for i := range wu {
+			u := &wu[i]
 			sim := chosenVec.WeightedJaccard(u.vec)
 			u.util -= u.util * sim
 			u.vec.ZeroShared(chosenVec)
 		}
 	}
 
-	out := make([]float64, len(res.Indices))
-	for i, idx := range res.Indices {
+	out := make([]float64, k)
+	for p := range out {
 		if total > 0 {
-			out[i] = benefit[idx] / total
+			out[p] = benefit[p] / total
 		} else {
-			out[i] = 1.0 / float64(len(res.Indices))
+			out[p] = 1.0 / float64(k)
 		}
 	}
 	return out

@@ -111,6 +111,12 @@ func (e *Extractor) Features(q *workload.Query) Vector {
 		}
 	}
 
+	// Σn(t') once per query, not once per column (catalog.TableWeight
+	// re-sums every table on each call).
+	var totalRows int64
+	if e.UseTableWeight {
+		totalRows = e.Cat.TotalRows()
+	}
 	v := make(Vector, len(roles))
 	for key, r := range roles {
 		var w float64
@@ -121,13 +127,23 @@ func (e *Extractor) Features(q *workload.Query) Vector {
 			w = e.ruleWeight(r, counts[r.cu.Table])
 		}
 		if e.UseTableWeight {
-			w *= e.Cat.TableWeight(r.cu.Table)
+			w *= tableWeight(e.Cat, r.cu.Table, totalRows)
 		}
 		if w > 0 {
 			v[key] = w
 		}
 	}
 	return e.normalize(v)
+}
+
+// tableWeight is catalog.TableWeight with the catalog's total row count
+// passed in: n(t)/total, 0 for an unknown table or an empty catalog.
+func tableWeight(cat *catalog.Catalog, table string, total int64) float64 {
+	t := cat.Table(table)
+	if t == nil || total == 0 {
+		return 0
+	}
+	return float64(t.RowCount) / float64(total)
 }
 
 // positionCounts holds per-table counts of columns in each position.

@@ -359,3 +359,18 @@ func TestRuleWeightGroupOnlyQuery(t *testing.T) {
 		t.Fatalf("group-only weight = %v", v)
 	}
 }
+
+// TestTableWeightMatchesCatalog pins the extractor's per-query hoisting
+// of the catalog row total: its table weight must carry exactly the bits
+// catalog.TableWeight returns, for known and unknown tables alike.
+func TestTableWeightMatchesCatalog(t *testing.T) {
+	for _, cat := range []*catalog.Catalog{testCatalog(), catalog.New()} {
+		total := cat.TotalRows()
+		for _, name := range []string{"orders", "ORDERS", "customer", "missing"} {
+			got, want := tableWeight(cat, name, total), cat.TableWeight(name)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: tableWeight %v, catalog %v", name, got, want)
+			}
+		}
+	}
+}

@@ -235,12 +235,6 @@ func (v *SparseVec) AddScaled(other SparseVec, f float64) {
 	vecBufs.Put(b)
 }
 
-// Add adds other into v; equivalent to AddScaled(other, 1) bit-for-bit
-// (w·1.0 == w).
-//
-//lint:hotpath
-func (v *SparseVec) Add(other SparseVec) { v.AddScaled(other, 1) }
-
 // SubClamped subtracts other's weights from v's, dropping any entry
 // that would become ≤ 0. Shrink-only: compacts in place, no allocation.
 //
@@ -385,61 +379,6 @@ func (a SparseVec) Jaccard(b SparseVec) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
-}
-
-// SummarySimilarity computes S(q, V′) — WeightedJaccard between q and
-// the summary v with q's own contribution excluded (Definition 11) — as
-// one fused allocation-free merge. It reproduces the staged map path
-// (ExcludeFromSummary then WeightedJaccard) bit-for-bit: shared summary
-// entries are clamped by nw = vw − qw·qUtil and, when they survive,
-// rescaled by totalUtil/(totalUtil−qUtil); summary entries q does not
-// touch survive unclamped; a summary left with no surviving entries
-// yields 0.
-//
-//lint:hotpath
-func SummarySimilarity(q, v SparseVec, qUtil, totalUtil float64) float64 {
-	if len(q.ids) == 0 {
-		return 0
-	}
-	reduced := totalUtil - qUtil
-	if reduced <= 0 {
-		return 0
-	}
-	mergeOp()
-	scale := totalUtil / reduced
-	var minSum, maxSum float64
-	survivors := 0
-	i, j := 0, 0
-	for i < len(q.ids) || j < len(v.ids) {
-		switch {
-		case j >= len(v.ids) || (i < len(q.ids) && q.ids[i] < v.ids[j]):
-			aw := q.ws[i]
-			minSum += math.Min(aw, 0)
-			maxSum += math.Max(aw, 0)
-			i++
-		case i >= len(q.ids) || v.ids[j] < q.ids[i]:
-			survivors++
-			maxSum += v.ws[j] * scale
-			j++
-		default:
-			aw := q.ws[i]
-			if nw := v.ws[j] - aw*qUtil; nw > 0 {
-				vp := nw * scale
-				survivors++
-				minSum += math.Min(aw, vp)
-				maxSum += math.Max(aw, vp)
-			} else {
-				minSum += math.Min(aw, 0)
-				maxSum += math.Max(aw, 0)
-			}
-			i++
-			j++
-		}
-	}
-	if survivors == 0 || maxSum == 0 {
-		return 0
-	}
-	return minSum / maxSum
 }
 
 // SharedWeights appends to dst, parallel to mask's entries, the weight v

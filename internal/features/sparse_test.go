@@ -154,7 +154,11 @@ func TestKernelZeroAlloc(t *testing.T) {
 
 	check("WeightedJaccard", func() { _ = a.WeightedJaccard(b) })
 	check("Jaccard", func() { _ = a.Jaccard(b) })
-	check("SummarySimilarity", func() { _ = SummarySimilarity(a, b, 0.25, 1.0) })
+	var dense DenseVec
+	dense.AddScaled(b, 0.5)
+	check("DenseVec.AddScaled", func() { dense.AddScaled(a, 0.001) })
+	dense.RefreshMass()
+	check("DenseVec.SummarySimilarity", func() { _ = dense.SummarySimilarity(a, 0.25, 1.0) })
 	check("Sum", func() { _ = a.Sum() })
 
 	sub := a.Clone()
@@ -232,16 +236,23 @@ func FuzzSparseVecOps(f *testing.F) {
 
 		qUtil, extra := fuzzClean(f1), fuzzClean(f2)
 		totalUtil := qUtil + extra
-		if got, want := SummarySimilarity(sa, sb, qUtil, totalUtil), RefSummarySimilarity(a, b, qUtil, totalUtil, in); got != want {
-			t.Fatalf("SummarySimilarity: %x, want %x", math.Float64bits(got), math.Float64bits(want))
+		if got, want := summaryRatio(mergeSummaryTerms(sa, sb, qUtil, totalUtil)), RefStagedSummarySimilarity(a, b, qUtil, totalUtil, in); got != want {
+			t.Fatalf("merge-join summary similarity: %x, want %x", math.Float64bits(got), math.Float64bits(want))
 		}
+		var dense DenseVec
+		dense.AddScaled(sb, 1)
+		dense.RefreshMass()
+		if got, want := dense.SummarySimilarity(sa, qUtil, totalUtil), RefSummarySimilarity(a, b, qUtil, totalUtil, in); got != want {
+			t.Fatalf("DenseVec.SummarySimilarity: %x, want %x", math.Float64bits(got), math.Float64bits(want))
+		}
+		checkDenseMatchesMerge(t, &dense, sa, sb, qUtil, totalUtil)
 		if reduced := totalUtil - qUtil; reduced > 0 {
 			stagedV := b.Clone()
 			stagedV.SubClamped(a.Clone().Scale(qUtil))
 			stagedV.Scale(totalUtil / reduced)
 			staged := WeightedJaccard(a, stagedV)
-			if d := math.Abs(SummarySimilarity(sa, sb, qUtil, totalUtil) - staged); d > 1e-9 {
-				t.Fatalf("SummarySimilarity vs staged legacy drift %g", d)
+			if d := math.Abs(dense.SummarySimilarity(sa, qUtil, totalUtil) - staged); d > 1e-9 {
+				t.Fatalf("DenseVec.SummarySimilarity vs staged legacy drift %g", d)
 			}
 		}
 
@@ -256,6 +267,10 @@ func FuzzSparseVecOps(f *testing.F) {
 		sv.AddScaled(sb, signed)
 		mv.AddScaled(b, signed)
 		sameVector(t, "AddScaled", sv.ToMap(in), mv)
+		var dv DenseVec
+		dv.AddScaled(sa, 1)
+		dv.AddScaled(sb, signed)
+		sameVector(t, "DenseVec.AddScaled", dv.ToSparse(SparseVec{}).ToMap(in), mv)
 
 		fpos := fuzzClean(f2)
 		sv2, mv2 := sa.Clone(), a.Clone()
@@ -316,6 +331,83 @@ func FuzzSparseVecOps(f *testing.F) {
 			}
 		})
 	})
+}
+
+// checkDenseMatchesMerge holds the dense summary kernel to the
+// merge-join kernel over the same summary: the min sum and the zero
+// outcome must match exactly; the similarities differ only in how the
+// max sum groups the untouched summary mass, so they must agree to 1e-12
+// relative.
+func checkDenseMatchesMerge(t *testing.T, d *DenseVec, q, v SparseVec, qUtil, totalUtil float64) {
+	t.Helper()
+	dMin, _, dSurv := d.summaryTerms(q, qUtil, totalUtil)
+	mMin, mMax, mSurv := mergeSummaryTerms(q, v, qUtil, totalUtil)
+	if dMin != mMin || dSurv != mSurv {
+		t.Fatalf("dense terms (min %x, survivors %d), merge (min %x, survivors %d)",
+			math.Float64bits(dMin), dSurv, math.Float64bits(mMin), mSurv)
+	}
+	got, want := d.SummarySimilarity(q, qUtil, totalUtil), summaryRatio(mMin, mMax, mSurv)
+	if (got == 0) != (want == 0) {
+		t.Fatalf("zero outcome: dense %v, merge %v", got, want)
+	}
+	if diff := math.Abs(got - want); diff > 1e-12*math.Abs(want) {
+		t.Fatalf("dense %v, merge %v: relative drift %g", got, want, diff/math.Abs(want))
+	}
+}
+
+// TestDenseSummaryMatchesMergeReference drives the dense summary the way
+// the greedy loop does — build by scatter, subtract a selection, fold
+// signed deltas, refresh — next to a merge-built SparseVec, and checks
+// that the two hold bitwise-equal entries and that every query's dense
+// similarity agrees with the merge-join reference kernel.
+func TestDenseSummaryMatchesMergeReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		in := NewInterner()
+		maps := make([]Vector, 2+rng.Intn(30))
+		for i := range maps {
+			maps[i] = Vector{}
+			for j := rng.Intn(12); j >= 0; j-- {
+				maps[i][fmt.Sprintf("t%d.c%d", rng.Intn(6), rng.Intn(60))] = rng.Float64()
+			}
+		}
+		in.AddVectors(maps)
+		vecs := make([]SparseVec, len(maps))
+		utils := make([]float64, len(maps))
+		var total float64
+		for i, m := range maps {
+			vecs[i] = in.FromMap(m)
+			utils[i] = rng.Float64() / float64(len(maps))
+			total += utils[i]
+		}
+		var dense DenseVec
+		var merged SparseVec
+		for i, v := range vecs {
+			dense.AddScaled(v, utils[i])
+			merged.AddScaled(v, utils[i])
+		}
+		// One selection and a few signed deltas, as a greedy round makes.
+		sel := rng.Intn(len(vecs))
+		dense.AddScaled(vecs[sel], -utils[sel])
+		merged.AddScaled(vecs[sel], -utils[sel])
+		total -= utils[sel]
+		for i := range vecs {
+			if i == sel || rng.Intn(3) != 0 {
+				continue
+			}
+			delta := vecs[i].Clone()
+			delta.Scale(-rng.Float64() * utils[i])
+			dense.AddScaled(delta, 1)
+			merged.AddScaled(delta, 1)
+		}
+		dense.RefreshMass()
+		sameVector(t, "dense summary", dense.ToSparse(SparseVec{}).ToMap(in), merged.ToMap(in))
+		for i, q := range vecs {
+			if i != sel {
+				checkDenseMatchesMerge(t, &dense, q, merged, utils[i], total)
+			}
+		}
+	}
 }
 
 // BenchmarkJaccard compares the map-based WeightedJaccard (DetSum

@@ -16,6 +16,10 @@
 //     kernels iterate in ascending-ID order, which IS the canonical
 //     order, so their sums are bit-identical by construction and need no
 //     DetSum-style sort.
+//
+// DenseVec (dense.go) holds the greedy workload summary, indexed by
+// interned ID: its scatters and gathers also accumulate every sum in
+// ascending-ID order.
 package features
 
 import (
